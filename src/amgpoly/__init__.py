@@ -29,6 +29,7 @@ from .chebyshev import (
     cheb2_eval,
     cheb4_eval,
     coefficient_roots,
+    fourth_kind_basis,
     scaled_cheb_eval,
     smoothing_limit_at_zero,
     smoothing_objective,
@@ -50,7 +51,7 @@ from .optimize import (
     solve_a_star,
     theorem_bounds,
 )
-from .problems import ProblemSpec, SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
+from .problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
 from .smoothers import (
     FAMILIES,
     L1JacobiData,

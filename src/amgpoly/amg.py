@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .krylov import _matvec
 from .optimize import evaluate_gamma_numeric
 from .smoothers import (
     L1JacobiData,
     PolySmootherConfig,
-    as_preconditioner,
     error_polynomial_coeffs,
     l1_jacobi_diag,
     smoother_apply,

@@ -49,20 +49,27 @@ def cheb2_eval(k, x):
     return val if x > 0 or k % 2 == 0 else -val
 
 
+def fourth_kind_basis(arg, k):
+    """Fourth-kind Chebyshev values [W_0(arg), ..., W_k(arg)].
+
+    W_0 = 1, W_1 = 2 arg + 1, W_{j+1} = 2 arg W_j - W_{j-1}.  ``arg`` may be
+    a float, a numpy array or a numpy ``Polynomial``; every fourth-kind
+    expansion in the package goes through this one recurrence.
+    """
+    W = [arg**0, 2.0 * arg + 1.0]
+    for _ in range(2, k + 1):
+        W.append(2.0 * arg * W[-1] - W[-2])
+    return W[: k + 1]
+
+
 def cheb4_eval(k, x):
     """Fourth-kind Chebyshev polynomial W_k(x) on [-1, 1].
 
-    W_0 = 1, W_1 = 2x+1, W_{k+1} = 2x W_k - W_{k-1}; equals
-    sin((k+1/2)t)/sin(t/2) for x = cos(t).
+    Equals sin((k+1/2)t)/sin(t/2) for x = cos(t).
     """
     if abs(x) > 1.0:
         raise ValueError("cheb4_eval requires |x| <= 1")
-    if k == 0:
-        return 1.0
-    wm, w = 1.0, 2.0 * x + 1.0
-    for _ in range(k - 1):
-        wm, w = w, 2.0 * x * w - wm
-    return w
+    return fourth_kind_basis(x, k)[k]
 
 
 @dataclass

@@ -6,6 +6,7 @@ computable proxy for the error tolerance quoted with the benchmark runs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,10 +39,6 @@ class SolveReport:
     elapsed_s: float = 0.0
 
 
-def _matvec(A, x):
-    return A.matvec(x) if hasattr(A, "matvec") else A @ x
-
-
 def solve(A, b, precond=None, cfg=None, x0=None):
     """Solve SPD A x = b; returns (x, SolveReport).
 
@@ -49,7 +46,8 @@ def solve(A, b, precond=None, cfg=None, x0=None):
     None for plain CG).  The flexible variant re-orthogonalizes each new
     direction against the previous one only, which tolerates mildly variable
     preconditioning; with a fixed preconditioner both variants coincide up
-    to roundoff.
+    to roundoff.  A curvature d'Ad that is not finite and positive, or a
+    non-finite residual norm or r'z, ends the solve with ``breakdown`` set.
     """
     cfg = cfg or KrylovConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -63,7 +61,7 @@ def solve(A, b, precond=None, cfg=None, x0=None):
     if bnorm == 0.0:
         return x * 0.0, SolveReport(0, True, 0.0, [], 0, 0, elapsed_s=time.perf_counter() - t0)
 
-    r = b - _matvec(A, x)
+    r = b - A.matvec(x)
     spmv += 1
     history = []
     relres = np.linalg.norm(r) / bnorm
@@ -92,10 +90,10 @@ def solve(A, b, precond=None, cfg=None, x0=None):
     rz = float(r @ z)
 
     for it in range(1, cfg.itmax + 1):
-        Ad = _matvec(A, d)
+        Ad = A.matvec(d)
         spmv += 1
         dAd = float(d @ Ad)
-        if dAd <= 0.0:
+        if not 0.0 < dAd < math.inf:  # NaN fails the comparison too
             return x, report(it - 1, False, breakdown=True)
         alpha = rz / dAd if cfg.variant == "pcg" else float(r @ d) / dAd
         x += alpha * d
@@ -105,10 +103,14 @@ def solve(A, b, precond=None, cfg=None, x0=None):
             history.append(relres)
         if relres <= cfg.tol:
             return x, report(it, True)
+        if not math.isfinite(relres):
+            return x, report(it, False, breakdown=True)
         z = apply_prec(r)
         pc += 1
         if cfg.variant == "pcg":
             rz_new = float(r @ z)
+            if not math.isfinite(rz_new):
+                return x, report(it, False, breakdown=True)
             beta = rz_new / rz
             rz = rz_new
             d = z + beta * d

@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .chebyshev import ScaledChebParams, c1_coefficient, cheb1_eval, scaled_cheb_eval
+from .chebyshev import c1_coefficient, cheb1_eval, fourth_kind_basis
 
 
 @dataclass
@@ -182,18 +182,11 @@ def _beta_basis(k, grid):
     p = sum_j (beta_j - beta_{j+1})/(2j+1) W_j(1-2x), beta_0 = 1,
     beta_{k+1} = 0.  p(0) = 1 holds for any beta since W_j(1) = 2j+1.
     """
-    arg = 1.0 - 2.0 * grid
-    W = np.empty((k + 1, len(grid)))
-    W[0] = 1.0
-    if k >= 1:
-        W[1] = 2.0 * arg + 1.0
-    for j in range(2, k + 1):
-        W[j] = 2.0 * arg * W[j - 1] - W[j - 2]
-    base = W[0].copy()
+    W = fourth_kind_basis(1.0 - 2.0 * grid, k)
     basis = np.stack(
         [W[i] / (2 * i + 1) - W[i - 1] / (2 * i - 1) for i in range(1, k + 1)]
     )
-    return base, basis
+    return W[0], basis
 
 
 def _beta_objective(grid, base, basis, beta):
@@ -340,8 +333,3 @@ def params_csv_rows(kmax):
         )
     return rows
 
-
-def scaled_cheb_callable(k, a):
-    """tau_k^{[a,1]} as a plain callable, for gamma evaluation."""
-    p = ScaledChebParams(a, k)
-    return lambda x: scaled_cheb_eval(p, x)

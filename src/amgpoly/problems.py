@@ -17,18 +17,6 @@ import scipy.sparse
 from .sparse import CsrMatrix
 
 
-@dataclass
-class ProblemSpec:
-    """Parsed problem selector for the benchmark CLI."""
-
-    kind: str  # poisson3d | aniso2d | spectral
-    m: int = 0
-    epsilon: float = 1.0
-    angle: float = 0.0
-    n: int = 0
-    distribution: str = "equispaced"
-
-
 def poisson3d(m):
     """7-point Poisson on the unit cube, homogeneous Dirichlet eliminated.
 
@@ -124,11 +112,6 @@ def aniso2d_q1(m, epsilon, angle):
     return CsrMatrix.from_scipy(A), load[keep]
 
 
-def _logspace(p, q, n):
-    """n logarithmically spaced values from 10^p to 10^q inclusive."""
-    return np.logspace(p, q, n)
-
-
 @dataclass
 class SpectralOperator:
     """Dense synthetic operator A = Q D Q^T with a discrete sine basis.
@@ -186,10 +169,10 @@ def spectral_synthetic(n, distribution):
     if distribution == "equispaced":
         d = np.arange(1, n + 1) / n
     elif distribution == "boundary":
-        half = _logspace(-8, -1, n // 2)
+        half = np.logspace(-8, -1, n // 2)
         d = np.concatenate([1.0 - half, half])
     elif distribution == "gapped":
-        d = np.concatenate([_logspace(-8, -1, n // 2), _logspace(1, math.pi, n // 2)])
+        d = np.concatenate([np.logspace(-8, -1, n // 2), np.logspace(1, math.pi, n // 2)])
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
     op = SpectralOperator(n, d)

@@ -1,29 +1,40 @@
 """Runtime smoother kernels and the brute-force error-polynomial oracle.
 
-Every family damps the error as e_out = p(M^-1 A) e_in for its polynomial p:
-
-  l1_jacobi   p(t) = (1 - t)^k          (k plain sweeps)
-  cheb4       p(t) = W_k(1 - 2t)/(2k+1)
-  opt_cheb4   p(t) = sum_j (beta_j - beta_{j+1})/(2j+1) W_j(1 - 2t)
-  opt_cheb1   p(t) = tau_k^{[a,1]}(t)
-
+Every family damps the error as e_out = p(M^-1 A) e_in for its polynomial p,
 with M the l1-Jacobi diagonal, for which the spectrum of M^-1 A lies in
-(0, 1] and the spectral-radius divisor of the recurrences is 1.
+(0, 1].  All four are applied by one loop over a table of step coefficients
+(c_j, e_j, w_j), j = 1..k:
+
+  d <- c_j d + e_j M^-1 r;   x <- x + w_j d;   r <- r - A d
+
+starting from d = 0 and the true residual r = b - A x; the last step skips
+the r update, so a degree-k step costs k SpMVs.  The families:
+
+  l1_jacobi   p(t) = (1 - t)^k
+              c_j = 0, e_j = 1, w_j = 1                 (k plain sweeps)
+  cheb4       p(t) = W_k(1 - 2t)/(2k+1)
+              c_j = (2j-3)/(2j+1), e_j = (8j-4)/(2j+1), w_j = 1
+  opt_cheb4   p(t) = sum_j (beta_j - beta_{j+1})/(2j+1) W_j(1 - 2t)
+              as cheb4 with w_j = beta_j                 (Lottes' recurrence)
+  opt_cheb1   p(t) = tau_k^{[a,1]}(t),  theta = (1+a)/2, delta = (1-a)/2
+              c_1 = 0, e_1 = 1/theta, w_j = 1, and for j >= 2
+              c_j = rho_j rho_{j-1}, e_j = 2 rho_j/delta with
+              rho_1 = delta/theta, rho_j = 1/(2 theta/delta - rho_{j-1})
+
+``error_polynomial_coeffs`` and the oracle are built from the polynomials
+p above, never from the step table, so that comparing the kernel against
+them checks the table.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .chebyshev import ScaledChebParams
+from .chebyshev import ScaledChebParams, fourth_kind_basis, scaled_cheb_eval
 from .optimize import BetaTable, load_beta_tables, optimal_a
-from .sparse import CsrMatrix, fused_update
-
-log = logging.getLogger(__name__)
 
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
 
@@ -57,15 +68,12 @@ class PolySmootherConfig:
     degree: int
     a: float | None = None           # opt_cheb1 interval endpoint
     beta: BetaTable | None = None    # opt_cheb4 coefficient table
-    rho_scale: float = 1.0           # rho(M^-1 A) divisor; 1 for l1-Jacobi
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown smoother family {self.family!r}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.rho_scale <= 0.0:
-            raise ValueError("rho_scale must be positive")
         if self.family == "opt_cheb1":
             if self.a is None:
                 self.a = optimal_a(self.degree)
@@ -73,20 +81,33 @@ class PolySmootherConfig:
                 raise ValueError("a must lie in (0, 1)")
         if self.family == "opt_cheb4" and self.beta is None:
             tables = load_beta_tables()
-            if self.degree in tables:
-                self.beta = tables[self.degree]
-            else:
-                log.warning(
-                    "no beta table for degree %d; falling back to plain cheb4",
-                    self.degree,
-                )
-                self.family = "cheb4"
+            if self.degree not in tables:
+                raise ValueError(f"no opt_cheb4 beta table for degree {self.degree}")
+            self.beta = tables[self.degree]
         if self.beta is not None and len(self.beta.beta) != self.degree:
             raise ValueError("beta table length must equal the degree")
 
 
-def _matvec(A, x):
-    return A.matvec(x) if hasattr(A, "matvec") else A @ x
+def step_coefficients(config):
+    """The (c_j, e_j, w_j) table, j = 1..k, that ``smoother_apply`` runs."""
+    k = config.degree
+    if config.family == "l1_jacobi":
+        return [(0.0, 1.0, 1.0)] * k
+    if config.family in ("cheb4", "opt_cheb4"):
+        betas = config.beta.beta if config.family == "opt_cheb4" else np.ones(k)
+        return [
+            ((2 * j - 3) / (2 * j + 1), (8 * j - 4) / (2 * j + 1), betas[j - 1])
+            for j in range(1, k + 1)
+        ]
+    p = ScaledChebParams(config.a, k)
+    sigma1 = p.theta / p.delta
+    steps = [(0.0, 1.0 / p.theta, 1.0)]
+    rho_prev = 1.0 / sigma1
+    for _ in range(1, k):
+        rho_cur = 1.0 / (2.0 * sigma1 - rho_prev)
+        steps.append((rho_cur * rho_prev, 2.0 * rho_cur / p.delta, 1.0))
+        rho_prev = rho_cur
+    return steps
 
 
 def smoother_apply(config, A, M, b, x0):
@@ -100,40 +121,15 @@ def smoother_apply(config, A, M, b, x0):
     if len(b) != len(x) or len(b) != A.nrows:
         raise ValueError("dimension mismatch")
     m = M.m_diag
-    k = config.degree
-    rho = config.rho_scale
-
-    if config.family == "l1_jacobi":
-        for _ in range(k):
-            r = b - _matvec(A, x)
-            x += r / m
-        return x
-
-    if config.family in ("cheb4", "opt_cheb4"):
-        betas = config.beta.beta if config.family == "opt_cheb4" else np.ones(k)
-        r = b - _matvec(A, x)
-        z = np.zeros_like(x)
-        for j in range(1, k + 1):
-            z *= (2 * j - 3) / (2 * j + 1)
-            z += (8 * j - 4) / (2 * j + 1) / rho * (r / m)
-            x += betas[j - 1] * z
-            if j < k:  # final residual is not consumed
-                r -= _matvec(A, z)
-        return x
-
-    # opt_cheb1: first-kind acceleration with the fused r/d/x update
-    p = ScaledChebParams(config.a, k)
-    theta, delta = p.theta, p.delta
-    sigma1 = theta / delta
-    r = (b - _matvec(A, x)) / m / rho
-    rho_prev = 1.0 / sigma1
-    d = r / theta
-    x += d
-    for _ in range(1, k):
-        s = _matvec(A, d) / m / rho
-        rho_cur = 1.0 / (2.0 * sigma1 - rho_prev)
-        fused_update(rho_cur, rho_prev, 2.0 * rho_cur / delta, s, r, d, x)
-        rho_prev = rho_cur
+    steps = step_coefficients(config)
+    r = b - A.matvec(x)
+    d = np.zeros_like(x)
+    for j, (c, e, w) in enumerate(steps, 1):
+        d *= c
+        d += e * (r / m)
+        x += w * d
+        if j < len(steps):  # final residual is not consumed
+            r -= A.matvec(d)
     return x
 
 
@@ -144,10 +140,7 @@ def error_polynomial_coeffs(config):
     if config.family == "l1_jacobi":
         poly = (1.0 - t) ** k
     elif config.family in ("cheb4", "opt_cheb4"):
-        arg = 1.0 - 2.0 * t
-        W = [npoly.Polynomial([1.0]), 2.0 * arg + 1.0]
-        for _ in range(2, k + 1):
-            W.append(2.0 * arg * W[-1] - W[-2])
+        W = fourth_kind_basis(1.0 - 2.0 * t, k)
         if config.family == "cheb4":
             poly = W[k] / (2 * k + 1)
         else:
@@ -156,17 +149,7 @@ def error_polynomial_coeffs(config):
                 float((ext[j] - ext[j + 1]) / (2 * j + 1)) * W[j] for j in range(k + 1)
             )
     else:
-        params = ScaledChebParams(config.a, k)
-        ratio = params.theta / params.delta
-        shift = 2.0 * (params.theta - t) / params.delta
-        sig_m, sig = 1.0, ratio
-        tm, tc = npoly.Polynomial([1.0]), 1.0 - t / params.theta
-        for _ in range(1, k):
-            sig_next = 2.0 * ratio * sig - sig_m
-            t_next = (sig / sig_next) * (shift * tc - (sig_m / sig) * tm)
-            sig_m, sig = sig, sig_next
-            tm, tc = tc, t_next
-        poly = tc
+        poly = scaled_cheb_eval(ScaledChebParams(config.a, k), t)
     return np.asarray(poly.coef, dtype=np.float64)
 
 
@@ -177,10 +160,9 @@ def smoother_error_oracle(A, M, config, e0):
     """
     coef = error_polynomial_coeffs(config)
     m = M.m_diag
-    rho = config.rho_scale
     out = coef[-1] * np.asarray(e0, dtype=np.float64)
     for c in coef[-2::-1]:
-        out = _matvec(A, out) / m / rho
+        out = A.matvec(out) / m
         out += c * e0
     return out
 
@@ -197,19 +179,3 @@ def as_preconditioner(config, A, M):
         return smoother_apply(config, A, M, r, np.zeros_like(r))
 
     return apply
-
-
-def estimate_rho(A, M, iters=25):
-    """Power-iteration estimate of rho(M^-1 A) for non-l1 base smoothers.
-
-    Unused by the default configuration (l1-Jacobi guarantees rho <= 1).
-    """
-    v = np.ones(A.nrows)
-    lam = 1.0
-    for _ in range(iters):
-        w = _matvec(A, v) / M.m_diag
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return lam

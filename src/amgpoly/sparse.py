@@ -2,8 +2,8 @@
 
 The CSR kernels here are the only place the rest of the library touches
 matrix storage: everything else (smoothers, AMG setup, Krylov) goes through
-``spmv`` / ``fused_update`` so that floating-point evaluation order is fixed
-and run-to-run deterministic.
+``spmv`` so that floating-point evaluation order is fixed and run-to-run
+deterministic.
 """
 
 from __future__ import annotations

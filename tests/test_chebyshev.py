@@ -12,6 +12,7 @@ from amgpoly.chebyshev import (
     cheb2_eval,
     cheb4_eval,
     coefficient_roots,
+    fourth_kind_basis,
     scaled_cheb_eval,
     smoothing_limit_at_zero,
     smoothing_objective,
@@ -71,6 +72,13 @@ class TestCheb4:
             return
         expected = math.sin((k + 0.5) * t) / math.sin(t / 2)
         assert cheb4_eval(k, x) == pytest.approx(expected, abs=1e-11)
+        # the shared recurrence on an array grid and on a polynomial argument
+        ts = np.append(np.linspace(0.1, math.pi, 9), t)
+        closed = np.sin((k + 0.5) * ts) / np.sin(ts / 2)
+        assert fourth_kind_basis(np.cos(ts), k)[k] == pytest.approx(closed, abs=1e-11)
+        W = fourth_kind_basis(np.polynomial.Polynomial([0.0, 1.0]), k)[k]
+        assert W.degree() == k
+        assert W(np.cos(ts)) == pytest.approx(closed, abs=1e-9)
 
 
 class TestScaledCheb:

@@ -1,16 +1,20 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
+from amgpoly import cli
 from amgpoly.cli import (
+    EXIT_BREAKDOWN,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
     build_problem,
     main,
     parse_config,
+    run_solve,
 )
 from amgpoly.sparse import write_matrix_market
 
@@ -50,6 +54,17 @@ class TestConfigParsing:
 class TestExitCodes:
     def test_config_error_is_2(self, capsys):
         assert main(["solve", "--override", "bogus=1"]) == EXIT_CONFIG
+
+    def test_opt_cheb4_without_table_is_2(self, capsys):
+        args = ["solve", "--override", "smoother=opt_cheb4", "--override", "degree=14"]
+        assert main(args) == EXIT_CONFIG
+        assert "no opt_cheb4 beta table for degree 14" in capsys.readouterr().err
+
+    def test_nan_preconditioner_is_3(self, monkeypatch, capsys):
+        nan_precond = lambda h: (lambda r: np.full_like(r, np.nan))
+        monkeypatch.setattr(cli, "as_vcycle_preconditioner", nan_precond)
+        assert main(["solve", "--override", "m=6"]) == EXIT_BREAKDOWN
+        assert json.loads(capsys.readouterr().out)["solve"]["breakdown"] is True
 
     def test_bad_kmax_is_2(self, capsys):
         assert main(["optimize", "--kmax", "99"]) == EXIT_CONFIG
@@ -154,6 +169,44 @@ class TestSolveCommand:
         report = json.loads(out.read_text())
         assert report["solve"]["converged"] is True
         assert "hierarchy" not in report
+
+
+# The AMG-PCG solves of scripts/run_experiments.py with their exact iteration
+# counts; a kernel change that costs an iteration anywhere fails here.
+EXPERIMENT_PROBLEMS = {
+    "poisson3d-m16-match": ["problem=poisson3d", "m=16", "coarsening=pairwise_matching"],
+    "poisson3d-m16-sa": ["problem=poisson3d", "m=16", "coarsening=smoothed_aggregation"],
+    "aniso2d-m64-sa": [
+        "problem=aniso2d", "m=64", "epsilon=100", f"angle={math.pi / 6}",
+        "coarsening=smoothed_aggregation",
+    ],
+}
+EXPERIMENT_SMOOTHERS = [
+    ("l1_jacobi", 4), ("cheb4", 4), ("opt_cheb4", 4), ("opt_cheb1", 4),
+    ("cheb4", 6), ("opt_cheb4", 6), ("opt_cheb1", 6),
+]
+EXPERIMENT_ITERATIONS = {
+    "poisson3d-m16-match": [7, 5, 6, 5, 4, 5, 4],
+    "poisson3d-m16-sa": [7, 6, 6, 5, 5, 5, 5],
+    "aniso2d-m64-sa": [27, 26, 27, 26, 26, 26, 26],
+}
+
+
+@pytest.mark.parametrize(
+    "case,family,degree,iterations",
+    [
+        (case, family, degree, iters[i])
+        for case, iters in EXPERIMENT_ITERATIONS.items()
+        for i, (family, degree) in enumerate(EXPERIMENT_SMOOTHERS)
+    ],
+)
+def test_experiment_iteration_counts(case, family, degree, iterations):
+    cfg = parse_config(
+        None, EXPERIMENT_PROBLEMS[case] + [f"smoother={family}", f"degree={degree}"]
+    )
+    report, _ = run_solve(cfg)
+    assert report["solve"]["converged"] is True
+    assert report["solve"]["iterations"] == iterations
 
 
 class TestSpectrumGridCommand:

@@ -65,6 +65,15 @@ class TestSolve:
         assert rep.breakdown
         assert not rep.converged
 
+    @pytest.mark.parametrize("variant", ["pcg", "fcg"])
+    def test_nan_preconditioner_is_breakdown(self, variant):
+        nan_precond = lambda r: np.full_like(r, np.nan)
+        cfg = KrylovConfig(variant=variant, itmax=50)
+        _, rep = solve(tridiag(10), np.ones(10), precond=nan_precond, cfg=cfg)
+        assert rep.breakdown
+        assert not rep.converged
+        assert rep.iterations == 0
+
     def test_warm_start(self):
         A = tridiag(30)
         b = np.ones(30)

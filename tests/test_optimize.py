@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amgpoly.chebyshev import cheb4_eval
+from amgpoly.chebyshev import ScaledChebParams, cheb4_eval, scaled_cheb_eval
 from amgpoly.optimize import (
     brent_root,
     compute_optimal_params,
@@ -18,7 +18,6 @@ from amgpoly.optimize import (
     optimize_beta,
     params_csv_rows,
     phi,
-    scaled_cheb_callable,
     solve_a_star,
     theorem_bounds,
 )
@@ -143,7 +142,8 @@ class TestEvaluateGammaNumeric:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_lambda_of(self, k):
         a = solve_a_star(k)
-        got = evaluate_gamma_numeric(scaled_cheb_callable(k, a))
+        p = ScaledChebParams(a, k)
+        got = evaluate_gamma_numeric(lambda x: scaled_cheb_eval(p, x))
         assert got == pytest.approx(lambda_of(k, a), rel=1e-6)
 
     def test_richardson_limit(self):

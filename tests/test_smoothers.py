@@ -62,10 +62,9 @@ class TestConfig:
         cfg = PolySmootherConfig(family="opt_cheb4", degree=3)
         assert len(cfg.beta.beta) == 3
 
-    def test_opt_cheb4_fallback_without_table(self, caplog):
-        with caplog.at_level("WARNING"):
-            cfg = PolySmootherConfig(family="opt_cheb4", degree=15)
-        assert cfg.family == "cheb4"
+    def test_opt_cheb4_without_table_raises(self):
+        with pytest.raises(ValueError, match="no opt_cheb4 beta table"):
+            PolySmootherConfig(family="opt_cheb4", degree=15)
 
 
 class TestSmootherApply:
