@@ -1,10 +1,17 @@
 """AMG hierarchy construction, V-cycle application, and dense bound oracles.
 
-Coarsening is either classical smoothed aggregation (greedy strong-neighbor
-seeding in natural index order) or repeated greedy pairwise matching; the
-tentative prolongator is damped by one weighted Jacobi step
-P = (I - omega D^-1 A) P_hat with omega = 4/(3 lambda_max).  All greedy ties
-break toward the lowest index so hierarchies are identical across runs.
+Coarsening is either classical smoothed aggregation or repeated greedy
+pairwise matching; the tentative prolongator is damped by one weighted Jacobi
+step P = (I - omega D^-1 A) P_hat with omega = 4/(3 lambda_max).
+
+Smoothed aggregation builds the strength graph once per level: the mask
+|a_ij| >= theta sqrt(|a_ii a_jj|), j != i, evaluated with numpy over the CSR
+arrays and handed to the greedy passes as plain Python lists.  Seeding walks
+the rows in natural order; a leftover row joins its strongest aggregated
+neighbor, the first in column order on a tie.  Matching orders the edges
+with one ``np.lexsort`` by decreasing weight, then lower row, then lower
+column, matches greedily over plain lists and numbers each pair by its lower
+index.  These tie-breaks make hierarchies identical across runs.
 """
 
 from __future__ import annotations
@@ -97,32 +104,44 @@ def _aggregates_to_prolongator(n, agg, n_agg):
     return CsrMatrix(n, n_agg, np.arange(n + 1), cols, np.ones(n))
 
 
+def strength_graph(A, theta):
+    """Strong off-diagonal couplings of each row, in column order.
+
+    Entry (i, j) is strong when j != i and |a_ij| >= theta sqrt(|a_ii a_jj|),
+    evaluated once over the CSR arrays.  Returns plain Python lists
+    ``(ptr, cols, weights)``: row i's strong columns are
+    ``cols[ptr[i]:ptr[i+1]]`` and their |a_ij| the same slice of ``weights``.
+    """
+    n = A.nrows
+    rows = np.repeat(np.arange(n), np.diff(A.row_ptr))
+    cols = A.col_idx
+    diag = A.diagonal()
+    absv = np.abs(A.values)
+    strong = (cols != rows) & (absv >= theta * np.sqrt(np.abs(diag[rows] * diag[cols])))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[strong], minlength=n), out=ptr[1:])
+    return ptr.tolist(), cols[strong].tolist(), absv[strong].tolist()
+
+
 def sa_aggregate(A, theta=0.01):
     """Tentative prolongator by greedy strong-neighbor aggregation.
 
-    Strength: |a_ij| >= theta * sqrt(a_ii a_jj).  Seeds sweep the rows in
-    natural order, absorbing unaggregated strong neighbors; leftovers join
-    their strongest adjacent aggregate and isolated rows become singletons.
+    The strength graph (``strength_graph``) is built once; both greedy
+    passes then walk it in natural row order.  Seeding: an unaggregated row
+    with at least two unaggregated strong neighbors becomes a new aggregate
+    together with those neighbors.  Leftovers: each remaining row joins the
+    aggregate of its strongest aggregated strong neighbor, the first in
+    column order winning ties (strict ``>``); a row with none becomes a
+    singleton, which later leftover rows may join.
     """
-    sp = A.to_scipy()
     n = A.nrows
-    diag = sp.diagonal()
-    agg = np.full(n, -1, dtype=np.int64)
-    indptr, indices, data = sp.indptr, sp.indices, sp.data
-
-    def strong_neighbors(i):
-        lo, hi = indptr[i], indptr[i + 1]
-        out = []
-        for j, v in zip(indices[lo:hi], data[lo:hi]):
-            if j != i and abs(v) >= theta * np.sqrt(abs(diag[i] * diag[j])):
-                out.append(j)
-        return out
-
+    ptr, cols, weights = strength_graph(A, theta)
+    agg = [-1] * n
     n_agg = 0
     for i in range(n):
         if agg[i] >= 0:
             continue
-        neigh = [j for j in strong_neighbors(i) if agg[j] < 0]
+        neigh = [j for j in cols[ptr[i]:ptr[i + 1]] if agg[j] < 0]
         if len(neigh) < 2:
             continue  # too close to existing aggregates; leftover pass decides
         agg[i] = n_agg
@@ -133,12 +152,10 @@ def sa_aggregate(A, theta=0.01):
         if agg[i] >= 0:
             continue
         best, best_w = -1, -1.0
-        for j in strong_neighbors(i):
-            if agg[j] >= 0:
-                lo, hi = indptr[i], indptr[i + 1]
-                w = max(abs(v) for jj, v in zip(indices[lo:hi], data[lo:hi]) if jj == j)
-                if w > best_w:
-                    best, best_w = agg[j], w
+        for k in range(ptr[i], ptr[i + 1]):
+            a = agg[cols[k]]
+            if a >= 0 and weights[k] > best_w:
+                best, best_w = a, weights[k]
         if best >= 0:
             agg[i] = best
         else:
@@ -151,7 +168,9 @@ def matching_aggregate(A, sweeps=3):
     """Tentative prolongator by repeated greedy pairwise matching.
 
     Edge weight w_ij = 1 - 2 a_ij / (a_ii + a_jj), clamped below at zero, so
-    strongly negatively coupled pairs merge first.  Each sweep halves the
+    strongly negatively coupled pairs merge first.  Edges are visited by
+    decreasing weight, ties broken by the lower row and then the lower
+    column; each pair is numbered by its lower index.  Each sweep halves the
     graph at most; aggregate sizes stay <= 2^sweeps.
     """
     n0 = A.nrows
@@ -163,24 +182,19 @@ def matching_aggregate(A, sweeps=3):
         diag = cur.diagonal()
         w = 1.0 - 2.0 * coo.data / (diag[coo.row] + diag[coo.col])
         keep = w > 0.0
-        edges = sorted(
-            zip(w[keep], coo.row[keep], coo.col[keep]),
-            key=lambda e: (-e[0], e[1], e[2]),
-        )
-        mate = np.full(n, -1, dtype=np.int64)
-        for _, i, j in edges:
+        row, col, w = coo.row[keep], coo.col[keep], w[keep]
+        order = np.lexsort((col, row, -w))
+        mate = [-1] * n
+        for i, j in zip(row[order].tolist(), col[order].tolist()):
             if mate[i] < 0 and mate[j] < 0:
                 mate[i] = j
                 mate[j] = i
-        new_idx = np.full(n, -1, dtype=np.int64)
-        nc = 0
-        for i in range(n):
-            if new_idx[i] >= 0:
-                continue
-            new_idx[i] = nc
-            if mate[i] >= 0:
-                new_idx[mate[i]] = nc
-            nc += 1
+        idx = np.arange(n)
+        mate = np.array(mate, dtype=np.int64)
+        rep = np.where(mate < 0, idx, np.minimum(idx, mate))
+        is_rep = rep == idx
+        new_idx = (np.cumsum(is_rep) - 1)[rep]
+        nc = int(np.count_nonzero(is_rep))
         agg = new_idx[agg]
         Pc = _aggregates_to_prolongator(n, new_idx, nc)
         cur = Pc.to_scipy().T @ cur @ Pc.to_scipy()
@@ -245,11 +259,16 @@ def build_hierarchy(
     """Build levels until the coarse size or level cap is hit.
 
     Stops early (with ``stagnated`` set) if two successive coarsenings fail
-    to shrink the problem below 95% of the fine size.
+    to shrink the problem below 95% of the fine size.  Raises ``ValueError``
+    unless ``A`` is square and symmetric with a positive diagonal.  Only the
+    fine level is checked: the coarser ones are its Galerkin products.
     """
+    M = l1_jacobi_diag(A)  # rejects a matrix not square or without a positive diagonal
+    if not A.is_symmetric():
+        raise ValueError("A must be symmetric")
     coarsening = coarsening or CoarseningConfig()
     smoother = smoother or PolySmootherConfig(family="opt_cheb1", degree=4)
-    levels = [Level(A=A, M=l1_jacobi_diag(A), smoother=smoother)]
+    levels = [Level(A=A, M=M, smoother=smoother)]
     stagnated = 0
     while (
         levels[-1].A.nrows > min_coarse_size

@@ -39,6 +39,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BREAKDOWN = 3
 
+# Largest dense synthetic operator (``problem=spectral``, spectrum-grid sizes):
+# each one holds n x n dense factors.
+MAX_DENSE_N = 1024
+
 
 class ConfigError(Exception):
     pass
@@ -184,7 +188,10 @@ def build_problem(cfg):
         if kind == "aniso2d":
             return aniso2d_q1(int(cfg["m"]), float(cfg["epsilon"]), float(cfg["angle"]))
         if kind == "spectral":
-            return spectral_synthetic(int(cfg["n"]), cfg["distribution"])
+            n = int(cfg["n"])
+            if n > MAX_DENSE_N:
+                raise ConfigError(f"spectral n must be <= {MAX_DENSE_N}, got {n}")
+            return spectral_synthetic(n, cfg["distribution"])
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad problem config: {exc}") from exc
     raise ConfigError(f"unknown problem kind {cfg['problem']!r}")
@@ -211,15 +218,18 @@ def run_solve(cfg):
         precond = as_preconditioner(smoother, A, M)
         hierarchy = None
     else:
-        hierarchy = build_hierarchy(
-            A,
-            coarsening=coarsening,
-            smoother=smoother,
-            max_levels=int(cfg["max_levels"]),
-            min_coarse_size=int(cfg["min_coarse_size"]),
-            coarse_solver=cfg["coarse_solver"],
-            coarse_sweeps=int(cfg["coarse_sweeps"]),
-        )
+        try:
+            hierarchy = build_hierarchy(
+                A,
+                coarsening=coarsening,
+                smoother=smoother,
+                max_levels=int(cfg["max_levels"]),
+                min_coarse_size=int(cfg["min_coarse_size"]),
+                coarse_solver=cfg["coarse_solver"],
+                coarse_sweeps=int(cfg["coarse_sweeps"]),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"cannot build the AMG hierarchy: {exc}") from exc
         precond = as_vcycle_preconditioner(hierarchy)
     _, rep = solve(A, b, precond=precond, cfg=kcfg)
     report = {
@@ -276,8 +286,8 @@ def _grid_cell(task):
 def cmd_spectrum_grid(args):
     sizes = [int(s) for s in args.sizes.split(",")]
     degrees = [int(s) for s in args.degrees.split(",")]
-    if any(n % 2 or n > 1024 for n in sizes):
-        raise ConfigError("sizes must be even and <= 1024")
+    if any(n % 2 or n > MAX_DENSE_N for n in sizes):
+        raise ConfigError(f"sizes must be even and <= {MAX_DENSE_N}")
     if any(k < 1 for k in degrees):
         raise ConfigError("degrees must be >= 1")
     tasks = [

@@ -84,30 +84,24 @@ def aniso2d_q1(m, epsilon, angle):
     ke = _q1_element_stiffness(K, h)
 
     nx = m + 1
-    nodes = lambda i, j: j * nx + i  # x fastest
     n_all = nx * nx
-    rows, cols, vals = [], [], []
+    n_el = m * m
+    # element-major triplets: element (ei, ej) with ei fastest, then local
+    # (a, b) pairs with b fastest; node numbering x fastest
+    e = np.arange(n_el, dtype=np.int64)
+    ei, ej = e % m, e // m
+    loc = (ej * nx + ei)[:, None] + np.array([0, 1, nx, nx + 1], dtype=np.int64)
+    rows = np.repeat(loc, 4, axis=1).ravel()
+    cols = np.tile(loc, (1, 4)).ravel()
+    vals = np.tile(ke.ravel(), n_el)
+    xc = -1.0 + (ei + 0.5) * h
+    yc = -1.0 + (ej + 0.5) * h
+    # math.exp per element: np.exp may round differently in the last bit
+    fe = np.array([math.exp(t) for t in (-100.0 * (xc * xc + yc * yc)).tolist()]) * h * h / 4.0
     load = np.zeros(n_all)
-    for ej in range(m):
-        for ei in range(m):
-            loc = [
-                nodes(ei, ej),
-                nodes(ei + 1, ej),
-                nodes(ei, ej + 1),
-                nodes(ei + 1, ej + 1),
-            ]
-            for a in range(4):
-                for b in range(4):
-                    rows.append(loc[a])
-                    cols.append(loc[b])
-                    vals.append(ke[a, b])
-            xc = -1.0 + (ei + 0.5) * h
-            yc = -1.0 + (ej + 0.5) * h
-            fe = math.exp(-100.0 * (xc * xc + yc * yc)) * h * h / 4.0
-            for a in range(4):
-                load[loc[a]] += fe
+    np.add.at(load, loc.ravel(), np.repeat(fe, 4))
     A_full = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n_all, n_all)).tocsr()
-    keep = np.array([i for i in range(n_all) if i >= nx])  # drop the y=-1 row
+    keep = np.arange(nx, n_all)  # drop the y=-1 row
     A = A_full[np.ix_(keep, keep)]
     return CsrMatrix.from_scipy(A), load[keep]
 

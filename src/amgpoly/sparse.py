@@ -52,6 +52,15 @@ class CsrMatrix:
             raise ValueError("row_ptr must be nondecreasing")
         if len(self.col_idx) != len(self.values):
             raise ValueError("col_idx and values length mismatch")
+        if self.nnz:
+            if self.col_idx.min() < 0 or self.col_idx.max() >= self.ncols:
+                raise ValueError("col_idx must lie in [0, ncols)")
+            increasing = np.diff(self.col_idx) > 0
+            # the step into the first entry of a row may go down
+            starts = self.row_ptr[1:-1]
+            increasing[starts[(starts > 0) & (starts < self.nnz)] - 1] = True
+            if not increasing.all():
+                raise ValueError("col_idx must be strictly increasing within each row")
 
     # -- constructors -------------------------------------------------------
 

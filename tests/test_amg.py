@@ -164,6 +164,19 @@ class TestBuildHierarchy:
             h = build_hierarchy(A, coarsening=CoarseningConfig(kind=kind))
             assert h.operator_complexity() <= 3.0
 
+    @pytest.mark.parametrize(
+        "A, message",
+        [
+            (CsrMatrix.from_dense(np.ones((2, 3))), "square"),
+            (CsrMatrix.from_dense([[2.0, -1.0], [0.0, 2.0]]), "symmetric"),
+            (CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 0.0]]), "positive diagonal"),
+            (CsrMatrix.from_dense([[-2.0, 1.0], [1.0, -2.0]]), "positive diagonal"),
+        ],
+    )
+    def test_rejects_bad_fine_matrix(self, A, message):
+        with pytest.raises(ValueError, match=message):
+            build_hierarchy(A)
+
     def test_summary_json_roundtrip(self):
         A, _ = poisson3d(4)
         h = build_hierarchy(A, min_coarse_size=10)

@@ -66,6 +66,23 @@ class TestExitCodes:
         assert main(["solve", "--override", "m=6"]) == EXIT_BREAKDOWN
         assert json.loads(capsys.readouterr().out)["solve"]["breakdown"] is True
 
+    def test_nonsymmetric_matrix_is_2(self, monkeypatch, capsys):
+        A = tridiag(10, lo=-1.0, up=-0.5)
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: (A, np.ones(10)))
+        with pytest.raises(ConfigError, match="symmetric"):
+            run_solve(parse_config(None, []))
+        assert main(["solve"]) == EXIT_CONFIG
+        assert "must be symmetric" in capsys.readouterr().err
+
+    def test_oversize_spectral_is_2(self, monkeypatch, capsys):
+        def no_build(n, distribution):
+            raise AssertionError("the dense operator must not be built")
+
+        monkeypatch.setattr(cli, "spectral_synthetic", no_build)
+        args = ["solve", "--override", "problem=spectral", "--override", "n=1026"]
+        assert main(args) == EXIT_CONFIG
+        assert "n must be <= 1024" in capsys.readouterr().err
+
     def test_bad_kmax_is_2(self, capsys):
         assert main(["optimize", "--kmax", "99"]) == EXIT_CONFIG
 

@@ -1,0 +1,202 @@
+"""The array-based setup kernels against the loop implementations they replaced.
+
+``sa_aggregate``, ``matching_aggregate`` and ``aniso2d_q1`` were once plain
+Python loops over numpy scalars.  Those loops are kept here as oracles: the
+rewritten functions must give identical aggregates, identical prolongator
+arrays and a bitwise identical Q1 matrix and load.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amgpoly.amg import _aggregates_to_prolongator as _prolongator
+from amgpoly.amg import matching_aggregate, sa_aggregate
+from amgpoly.problems import _q1_element_stiffness, aniso2d_q1, poisson3d
+from amgpoly.sparse import CsrMatrix
+
+THETAS = (0.0, 0.01, 0.25, 0.5)
+SWEEPS = (1, 2, 3)
+
+
+# -- oracles: the loop implementations --------------------------------------
+
+
+def sa_aggregate_loop(A, theta=0.01):
+    sp = A.to_scipy()
+    n = A.nrows
+    diag = sp.diagonal()
+    agg = np.full(n, -1, dtype=np.int64)
+    indptr, indices, data = sp.indptr, sp.indices, sp.data
+
+    def strong_neighbors(i):
+        lo, hi = indptr[i], indptr[i + 1]
+        out = []
+        for j, v in zip(indices[lo:hi], data[lo:hi]):
+            if j != i and abs(v) >= theta * np.sqrt(abs(diag[i] * diag[j])):
+                out.append(j)
+        return out
+
+    n_agg = 0
+    for i in range(n):
+        if agg[i] >= 0:
+            continue
+        neigh = [j for j in strong_neighbors(i) if agg[j] < 0]
+        if len(neigh) < 2:
+            continue
+        agg[i] = n_agg
+        for j in neigh:
+            agg[j] = n_agg
+        n_agg += 1
+    for i in range(n):
+        if agg[i] >= 0:
+            continue
+        best, best_w = -1, -1.0
+        for j in strong_neighbors(i):
+            if agg[j] >= 0:
+                lo, hi = indptr[i], indptr[i + 1]
+                w = max(abs(v) for jj, v in zip(indices[lo:hi], data[lo:hi]) if jj == j)
+                if w > best_w:
+                    best, best_w = agg[j], w
+        if best >= 0:
+            agg[i] = best
+        else:
+            agg[i] = n_agg
+            n_agg += 1
+    return _prolongator(n, agg, n_agg)
+
+
+def matching_aggregate_loop(A, sweeps=3):
+    n0 = A.nrows
+    agg = np.arange(n0, dtype=np.int64)
+    cur = A.to_scipy()
+    for _ in range(sweeps):
+        n = cur.shape[0]
+        coo = scipy.sparse.triu(cur, k=1).tocoo()
+        diag = cur.diagonal()
+        w = 1.0 - 2.0 * coo.data / (diag[coo.row] + diag[coo.col])
+        keep = w > 0.0
+        edges = sorted(
+            zip(w[keep], coo.row[keep], coo.col[keep]),
+            key=lambda e: (-e[0], e[1], e[2]),
+        )
+        mate = np.full(n, -1, dtype=np.int64)
+        for _, i, j in edges:
+            if mate[i] < 0 and mate[j] < 0:
+                mate[i] = j
+                mate[j] = i
+        new_idx = np.full(n, -1, dtype=np.int64)
+        nc = 0
+        for i in range(n):
+            if new_idx[i] >= 0:
+                continue
+            new_idx[i] = nc
+            if mate[i] >= 0:
+                new_idx[mate[i]] = nc
+            nc += 1
+        agg = new_idx[agg]
+        Pc = _prolongator(n, new_idx, nc)
+        cur = Pc.to_scipy().T @ cur @ Pc.to_scipy()
+        if nc == n:
+            break
+    return _prolongator(n0, agg, int(agg.max()) + 1)
+
+
+def aniso2d_q1_loop(m, epsilon, angle):
+    h = 2.0 / m
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    K = R @ np.diag([1.0, epsilon]) @ R.T
+    ke = _q1_element_stiffness(K, h)
+    nx = m + 1
+    nodes = lambda i, j: j * nx + i
+    n_all = nx * nx
+    rows, cols, vals = [], [], []
+    load = np.zeros(n_all)
+    for ej in range(m):
+        for ei in range(m):
+            loc = [nodes(ei, ej), nodes(ei + 1, ej), nodes(ei, ej + 1), nodes(ei + 1, ej + 1)]
+            for a in range(4):
+                for b in range(4):
+                    rows.append(loc[a])
+                    cols.append(loc[b])
+                    vals.append(ke[a, b])
+            xc = -1.0 + (ei + 0.5) * h
+            yc = -1.0 + (ej + 0.5) * h
+            fe = math.exp(-100.0 * (xc * xc + yc * yc)) * h * h / 4.0
+            for a in range(4):
+                load[loc[a]] += fe
+    A_full = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n_all, n_all)).tocsr()
+    keep = np.array([i for i in range(n_all) if i >= nx])
+    A = A_full[np.ix_(keep, keep)]
+    return CsrMatrix.from_scipy(A), load[keep]
+
+
+# -- parity -----------------------------------------------------------------
+
+
+def assert_same_csr(P, Q):
+    assert (P.nrows, P.ncols) == (Q.nrows, Q.ncols)
+    for a, b in ((P.row_ptr, Q.row_ptr), (P.col_idx, Q.col_idx), (P.values, Q.values)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+MATRICES = {
+    "poisson3d-m8": lambda: poisson3d(8)[0],
+    "poisson3d-m16": lambda: poisson3d(16)[0],
+    "aniso2d-m32": lambda: aniso2d_q1(32, 100.0, math.pi / 6)[0],
+    "aniso2d-m64": lambda: aniso2d_q1(64, 100.0, math.pi / 6)[0],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MATRICES))
+def matrix(request):
+    return MATRICES[request.param]()
+
+
+def test_sa_matches_loop(matrix):
+    for theta in THETAS:
+        assert_same_csr(sa_aggregate(matrix, theta), sa_aggregate_loop(matrix, theta))
+
+
+def test_matching_matches_loop(matrix):
+    for sweeps in SWEEPS:
+        assert_same_csr(matching_aggregate(matrix, sweeps), matching_aggregate_loop(matrix, sweeps))
+
+
+@st.composite
+def integer_m_matrices(draw):
+    """Symmetric M-matrices with small integer entries: many tied weights."""
+    n = draw(st.integers(1, 24))
+    upper = draw(
+        st.lists(st.sampled_from([0, 0, 0, -1, -2, -3]), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2)
+    )
+    extra = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    A = np.zeros((n, n))
+    A[np.triu_indices(n, 1)] = upper
+    A = A + A.T
+    A[np.diag_indices(n)] = -A.sum(axis=1) + extra
+    return CsrMatrix.from_dense(A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_m_matrices())
+def test_ties_break_like_the_loops(A):
+    for theta in THETAS:
+        assert_same_csr(sa_aggregate(A, theta), sa_aggregate_loop(A, theta))
+    for sweeps in SWEEPS:
+        assert_same_csr(matching_aggregate(A, sweeps), matching_aggregate_loop(A, sweeps))
+
+
+@pytest.mark.parametrize("m", [2, 7, 32])
+@pytest.mark.parametrize("epsilon,angle", [(100.0, math.pi / 6), (1e-3, 0.3)])
+def test_aniso2d_bitwise_equal_to_loop_assembly(m, epsilon, angle):
+    A, b = aniso2d_q1(m, epsilon, angle)
+    A_ref, b_ref = aniso2d_q1_loop(m, epsilon, angle)
+    assert_same_csr(A, A_ref)
+    assert b.tobytes() == b_ref.tobytes()

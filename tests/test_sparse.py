@@ -36,6 +36,20 @@ class TestCsrMatrix:
         with pytest.raises(ValueError):
             CsrMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("col", [-1, 3])
+    def test_column_out_of_range_rejected(self, col):
+        with pytest.raises(ValueError, match="ncols"):
+            CsrMatrix(2, 3, np.array([0, 1, 2]), np.array([0, col]), np.ones(2))
+
+    @pytest.mark.parametrize("cols", [[2, 1], [1, 1]])
+    def test_unsorted_or_repeated_columns_rejected(self, cols):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CsrMatrix(2, 3, np.array([0, 1, 3]), np.array([0] + cols), np.ones(3))
+
+    def test_columns_restart_at_each_row(self):
+        A = CsrMatrix(3, 3, np.array([0, 2, 2, 4]), np.array([1, 2, 0, 2]), np.ones(4))
+        assert A.nnz == 4
+
     def test_transpose_symmetry_check(self):
         A = tridiag(5)
         assert A.is_symmetric()
