@@ -67,8 +67,8 @@ class Level:
 @dataclass
 class AmgHierarchy:
     levels: list  # fine to coarse
+    coarse_smoother: PolySmootherConfig  # the l1_jacobi coarse solver's sweeps
     coarse_solver: str = "l1_jacobi"  # or "dense_direct"
-    coarse_sweeps: int = 30
     stagnated: bool = False
     _coarse_dense: np.ndarray | None = field(default=None, repr=False)
 
@@ -260,9 +260,16 @@ def build_hierarchy(
 
     Stops early (with ``stagnated`` set) if two successive coarsenings fail
     to shrink the problem below 95% of the fine size.  Raises ``ValueError``
-    unless ``A`` is square and symmetric with a positive diagonal.  Only the
-    fine level is checked: the coarser ones are its Galerkin products.
+    unless ``A`` is square and symmetric with a positive diagonal, the
+    coarse solver is ``l1_jacobi`` or ``dense_direct`` and ``coarse_sweeps``
+    is at least 1.  Only the fine level is checked: the coarser ones are its
+    Galerkin products.
     """
+    if coarse_solver not in ("l1_jacobi", "dense_direct"):
+        raise ValueError(f"unknown coarse solver {coarse_solver!r}")
+    if coarse_sweeps < 1:
+        raise ValueError("coarse_sweeps must be >= 1")
+    coarse_smoother = PolySmootherConfig(family="l1_jacobi", degree=coarse_sweeps)
     M = l1_jacobi_diag(A)  # rejects a matrix not square or without a positive diagonal
     if not A.is_symmetric():
         raise ValueError("A must be symmetric")
@@ -298,8 +305,8 @@ def build_hierarchy(
         levels.append(Level(A=Ac, M=l1_jacobi_diag(Ac), smoother=smoother))
     return AmgHierarchy(
         levels=levels,
+        coarse_smoother=coarse_smoother,
         coarse_solver=coarse_solver,
-        coarse_sweeps=coarse_sweeps,
         stagnated=stagnated >= 2,
     )
 
@@ -313,18 +320,22 @@ def _coarse_solve(h, r):
         if h._coarse_dense is None:
             h._coarse_dense = level.A.to_dense()
         return dense_cholesky_solve(h._coarse_dense, r)
-    cfg = PolySmootherConfig(family="l1_jacobi", degree=h.coarse_sweeps)
-    return smoother_apply(cfg, level.A, level.M, r, np.zeros_like(r))
+    return smoother_apply(h.coarse_smoother, level.A, level.M, r)
 
 
 def vcycle_apply(h, r, _level=0):
-    """One symmetric V-cycle applied to a residual; returns the correction."""
+    """One symmetric V-cycle applied to a residual; returns the correction.
+
+    The pre-smoother starts from a zero guess, so a level with a degree-k
+    smoother costs 2k SpMVs on its operator: k - 1 pre-smoothing, one
+    residual and k post-smoothing.
+    """
     if len(r) != h.levels[_level].A.nrows:
         raise ValueError("dimension mismatch")
     if _level == len(h.levels) - 1:
         return _coarse_solve(h, r)
     level = h.levels[_level]
-    x = smoother_apply(level.smoother, level.A, level.M, r, np.zeros_like(r))
+    x = smoother_apply(level.smoother, level.A, level.M, r)
     resid = r - spmv(level.A, x)
     rc = spmv(level.restrict_op(), resid)
     xc = vcycle_apply(h, rc, _level + 1)

@@ -8,7 +8,9 @@ with M the l1-Jacobi diagonal, for which the spectrum of M^-1 A lies in
   d <- c_j d + e_j M^-1 r;   x <- x + w_j d;   r <- r - A d
 
 starting from d = 0 and the true residual r = b - A x; the last step skips
-the r update, so a degree-k step costs k SpMVs.  The families:
+the r update, so a degree-k step costs k SpMVs.  From a zero guess
+(``x0=None``) the residual is b itself and the step costs k - 1.  Each
+config builds its table once, when it is made.  The families:
 
   l1_jacobi   p(t) = (1 - t)^k
               c_j = 0, e_j = 1, w_j = 1                 (k plain sweeps)
@@ -28,7 +30,7 @@ them checks the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -60,14 +62,19 @@ def l1_jacobi_diag(A):
     return L1JacobiData(m_diag=abs_row - np.abs(diag) + diag)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolySmootherConfig:
-    """Family, degree, and the per-family parameters of a smoother."""
+    """Family, degree, and the per-family parameters of a smoother.
+
+    Frozen, so that ``steps``, the table ``smoother_apply`` runs, is built
+    once here and always matches the other fields.
+    """
 
     family: str
     degree: int
     a: float | None = None           # opt_cheb1 interval endpoint
     beta: BetaTable | None = None    # opt_cheb4 coefficient table
+    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -76,29 +83,30 @@ class PolySmootherConfig:
             raise ValueError("degree must be >= 1")
         if self.family == "opt_cheb1":
             if self.a is None:
-                self.a = optimal_a(self.degree)
+                object.__setattr__(self, "a", optimal_a(self.degree))
             if not 0.0 < self.a < 1.0:
                 raise ValueError("a must lie in (0, 1)")
         if self.family == "opt_cheb4" and self.beta is None:
             tables = load_beta_tables()
             if self.degree not in tables:
                 raise ValueError(f"no opt_cheb4 beta table for degree {self.degree}")
-            self.beta = tables[self.degree]
+            object.__setattr__(self, "beta", tables[self.degree])
         if self.beta is not None and len(self.beta.beta) != self.degree:
             raise ValueError("beta table length must equal the degree")
+        object.__setattr__(self, "steps", step_coefficients(self))
 
 
 def step_coefficients(config):
     """The (c_j, e_j, w_j) table, j = 1..k, that ``smoother_apply`` runs."""
     k = config.degree
     if config.family == "l1_jacobi":
-        return [(0.0, 1.0, 1.0)] * k
+        return ((0.0, 1.0, 1.0),) * k
     if config.family in ("cheb4", "opt_cheb4"):
         betas = config.beta.beta if config.family == "opt_cheb4" else np.ones(k)
-        return [
+        return tuple(
             ((2 * j - 3) / (2 * j + 1), (8 * j - 4) / (2 * j + 1), betas[j - 1])
             for j in range(1, k + 1)
-        ]
+        )
     p = ScaledChebParams(config.a, k)
     sigma1 = p.theta / p.delta
     steps = [(0.0, 1.0 / p.theta, 1.0)]
@@ -107,28 +115,38 @@ def step_coefficients(config):
         rho_cur = 1.0 / (2.0 * sigma1 - rho_prev)
         steps.append((rho_cur * rho_prev, 2.0 * rho_cur / p.delta, 1.0))
         rho_prev = rho_cur
-    return steps
+    return tuple(steps)
 
 
-def smoother_apply(config, A, M, b, x0):
+def smoother_apply(config, A, M, b, x0=None):
     """Apply one degree-k smoother step: returns the updated iterate.
 
-    Each family performs exactly k operator applications (SpMV), matching
-    the cost of k basic sweeps.
+    From an explicit ``x0`` each family performs exactly k operator
+    applications (SpMV), matching the cost of k basic sweeps.  With
+    ``x0=None`` the step starts from x = 0, whose residual is b itself, and
+    performs k - 1; the result is the same as from ``x0 = 0``.
     """
     b = np.asarray(b, dtype=np.float64)
-    x = np.array(x0, dtype=np.float64)
-    if len(b) != len(x) or len(b) != A.nrows:
+    n = len(b)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    if len(x) != n or n != A.nrows:
         raise ValueError("dimension mismatch")
     m = M.m_diag
-    steps = step_coefficients(config)
-    r = b - A.matvec(x)
-    d = np.zeros_like(x)
-    for j, (c, e, w) in enumerate(steps, 1):
+    r = b.copy() if x0 is None else b - A.matvec(x)
+    d = np.zeros(n)
+    s = np.empty(n)  # scratch for e_j M^-1 r, then w_j d
+    for j, (c, e, w) in enumerate(config.steps, 1):
         d *= c
-        d += e * (r / m)
-        x += w * d
-        if j < len(steps):  # final residual is not consumed
+        np.divide(r, m, out=s)
+        if e != 1.0:  # a product with 1.0 is exact: skipping it changes no bit
+            s *= e
+        d += s
+        if w != 1.0:
+            np.multiply(d, w, out=s)
+            x += s
+        else:
+            x += d
+        if j < config.degree:  # final residual is not consumed
             r -= A.matvec(d)
     return x
 
@@ -173,9 +191,12 @@ def smoother_error_apply(config, A, M, e0):
 
 
 def as_preconditioner(config, A, M):
-    """The smoother as a symmetric linear operator r -> x (zero initial guess)."""
+    """The smoother as a symmetric linear operator r -> x.
+
+    Each application starts from a zero guess, so it costs k - 1 SpMVs.
+    """
 
     def apply(r):
-        return smoother_apply(config, A, M, r, np.zeros_like(r))
+        return smoother_apply(config, A, M, r)
 
     return apply

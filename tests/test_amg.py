@@ -16,8 +16,8 @@ from amgpoly.amg import (
     vcycle_apply,
 )
 from amgpoly.problems import poisson3d
-from amgpoly.smoothers import PolySmootherConfig, l1_jacobi_diag
-from amgpoly.sparse import CsrMatrix
+from amgpoly.smoothers import FAMILIES, PolySmootherConfig, l1_jacobi_diag, smoother_apply
+from amgpoly.sparse import CsrMatrix, reset_spmv_count, spmv, spmv_count
 
 from conftest import linear_interp_1d, poisson2d_5pt, random_spd, tridiag
 
@@ -233,6 +233,45 @@ class TestVcycle:
             e_new = e - vcycle_apply(h, r)
             assert e_new @ Ad @ e_new < e @ Ad @ e
 
+    @pytest.mark.parametrize("k, sweeps", [(1, 1), (3, 5), (4, 30)])
+    def test_spmv_count_per_vcycle(self, k, sweeps):
+        # per non-coarse level: (k - 1) pre-smoothing + 1 residual + k
+        # post-smoothing on A, plus restriction and prolongation; the coarse
+        # l1-Jacobi solve starts from zero and costs sweeps - 1
+        A, _ = poisson3d(8)
+        h = build_hierarchy(
+            A,
+            smoother=PolySmootherConfig(family="cheb4", degree=k),
+            min_coarse_size=10,
+            max_levels=3,
+            coarse_sweeps=sweeps,
+        )
+        assert len(h.levels) == 3
+        reset_spmv_count()
+        vcycle_apply(h, np.ones(A.nrows))
+        assert spmv_count() == 2 * (2 * k + 2) + sweeps - 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bitwise_equal_to_explicit_zero_guess_vcycle(self, family, rng):
+        def reference(h, r, lvl=0):
+            level = h.levels[lvl]
+            if lvl == len(h.levels) - 1:
+                return smoother_apply(h.coarse_smoother, level.A, level.M, r, np.zeros_like(r))
+            x = smoother_apply(level.smoother, level.A, level.M, r, np.zeros_like(r))
+            rc = spmv(level.restrict_op(), r - spmv(level.A, x))
+            x = x + spmv(level.P, reference(h, rc, lvl + 1))
+            return smoother_apply(level.smoother, level.A, level.M, r, x)
+
+        A, _ = poisson3d(8)
+        h = build_hierarchy(
+            A,
+            smoother=PolySmootherConfig(family=family, degree=3),
+            min_coarse_size=10,
+            max_levels=3,
+        )
+        r = rng.standard_normal(A.nrows)
+        assert np.array_equal(vcycle_apply(h, r), reference(h, r))
+
 
 class TestTwoLevelConstants:
     def test_square_invertible_prolongator(self):
@@ -276,3 +315,4 @@ class TestTwoLevelConstants:
             cfg = PolySmootherConfig(family=family, degree=3)
             bounds[family] = two_level_constants(A, P, M, cfg)[2]
         assert bounds["opt_cheb4"] <= bounds["opt_cheb1"] <= bounds["cheb4"]
+

@@ -83,6 +83,16 @@ class TestExitCodes:
         assert main(args) == EXIT_CONFIG
         assert "n must be <= 1024" in capsys.readouterr().err
 
+    def test_zero_coarse_sweeps_is_2(self, capsys):
+        args = ["solve", "--override", "m=6", "--override", "coarse_sweeps=0"]
+        assert main(args) == EXIT_CONFIG
+        assert "coarse_sweeps must be >= 1" in capsys.readouterr().err
+
+    def test_unknown_coarse_solver_is_2(self, capsys):
+        args = ["solve", "--override", "m=6", "--override", "coarse_solver=bogus"]
+        assert main(args) == EXIT_CONFIG
+        assert "unknown coarse solver 'bogus'" in capsys.readouterr().err
+
     def test_bad_kmax_is_2(self, capsys):
         assert main(["optimize", "--kmax", "99"]) == EXIT_CONFIG
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from amgpoly.smoothers import (
     smoother_apply,
     smoother_error_apply,
     smoother_error_oracle,
+    step_coefficients,
 )
 from amgpoly.sparse import CsrMatrix, reset_spmv_count, spmv_count
 
@@ -65,6 +68,14 @@ class TestConfig:
     def test_opt_cheb4_without_table_raises(self):
         with pytest.raises(ValueError, match="no opt_cheb4 beta table"):
             PolySmootherConfig(family="opt_cheb4", degree=15)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_step_table_built_once_and_frozen(self, family):
+        cfg = PolySmootherConfig(family=family, degree=4)
+        assert cfg.steps == step_coefficients(cfg)
+        assert len(cfg.steps) == 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.degree = 5
 
 
 class TestSmootherApply:
@@ -139,6 +150,60 @@ class TestSmootherApply:
         cfg = PolySmootherConfig(family="cheb4", degree=2)
         with pytest.raises(ValueError):
             smoother_apply(cfg, A, M, np.ones(5), np.zeros(4))
+
+
+ZERO_GUESS_CASES = [
+    (family, k)
+    for family in FAMILIES
+    for k in range(1, (12 if family == "opt_cheb4" else 8) + 1)
+]
+
+
+class TestZeroGuess:
+    """``x0=None`` saves the initial residual SpMV and nothing else."""
+
+    @pytest.mark.parametrize("problem", ["random_spd", "poisson3d"])
+    @pytest.mark.parametrize("family, k", ZERO_GUESS_CASES)
+    def test_bitwise_equal_to_explicit_zero_with_one_spmv_less(self, problem, family, k):
+        A = random_spd(30, seed=k) if problem == "random_spd" else poisson3d(5)[0]
+        M = l1_jacobi_diag(A)
+        cfg = PolySmootherConfig(family=family, degree=k)
+        b = np.random.default_rng(k).standard_normal(A.nrows)
+        want = smoother_apply(cfg, A, M, b, np.zeros_like(b))
+        reset_spmv_count()
+        got = smoother_apply(cfg, A, M, b)
+        assert spmv_count() == k - 1
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family, k", ZERO_GUESS_CASES)
+    def test_bitwise_equal_to_expression_form(self, family, k):
+        # the recurrence as plain expressions with temporaries: the in-place
+        # kernel must round every operation the same way
+        A, _ = poisson3d(5)
+        M = l1_jacobi_diag(A)
+        cfg = PolySmootherConfig(family=family, degree=k)
+        b = np.random.default_rng(k).standard_normal(A.nrows)
+        x, d, r = np.zeros_like(b), np.zeros_like(b), b - A.matvec(np.zeros_like(b))
+        for j, (c, e, w) in enumerate(step_coefficients(cfg), 1):
+            d = c * d + e * (r / M.m_diag)
+            x = x + w * d
+            if j < k:
+                r = r - A.matvec(d)
+        assert np.array_equal(smoother_apply(cfg, A, M, b), x)
+
+    def test_does_not_write_to_b(self):
+        A = tridiag(10)
+        b = np.linspace(1.0, 2.0, 10)
+        smoother_apply(PolySmootherConfig(family="cheb4", degree=3), A, l1_jacobi_diag(A), b)
+        assert np.array_equal(b, np.linspace(1.0, 2.0, 10))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_preconditioner_costs_k_minus_1(self, family):
+        A = tridiag(20)
+        B = as_preconditioner(PolySmootherConfig(family=family, degree=5), A, l1_jacobi_diag(A))
+        reset_spmv_count()
+        B(np.ones(20))
+        assert spmv_count() == 4
 
 
 class TestErrorPolynomial:
