@@ -26,7 +26,6 @@ from .chebyshev import (
     ScaledChebParams,
     c1_coefficient,
     cheb1_eval,
-    cheb2_eval,
     cheb4_eval,
     coefficient_roots,
     fourth_kind_basis,
@@ -65,7 +64,6 @@ from .smoothers import (
 )
 from .sparse import (
     CsrMatrix,
-    dense_cholesky_solve,
     dense_sym_eig,
     fused_update,
     jacobi_sym_eig,

@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .optimize import evaluate_gamma_numeric
@@ -30,7 +31,7 @@ from .smoothers import (
     l1_jacobi_diag,
     smoother_apply,
 )
-from .sparse import CsrMatrix, dense_cholesky_solve, dense_sym_eig, spmv
+from .sparse import MAX_DENSE_N, CsrMatrix, dense_sym_eig, spmv
 
 
 @dataclass
@@ -55,22 +56,16 @@ class Level:
     M: L1JacobiData
     smoother: PolySmootherConfig
     P: CsrMatrix | None = None  # prolongator from the next-coarser level
-    n_aggregates: int = 0
-    _Pt: CsrMatrix | None = field(default=None, repr=False)
-
-    def restrict_op(self):
-        if self._Pt is None:
-            self._Pt = self.P.transpose()
-        return self._Pt
+    R: CsrMatrix | None = None  # restriction P^T to the next-coarser level
 
 
-@dataclass
+@dataclass(frozen=True)
 class AmgHierarchy:
-    levels: list  # fine to coarse
+    levels: tuple  # fine to coarse
     coarse_smoother: PolySmootherConfig  # the l1_jacobi coarse solver's sweeps
     coarse_solver: str = "l1_jacobi"  # or "dense_direct"
     stagnated: bool = False
-    _coarse_dense: np.ndarray | None = field(default=None, repr=False)
+    coarse_factor: tuple | None = field(default=None, repr=False)  # dense_direct Cholesky
 
     def operator_complexity(self):
         return sum(l.A.nnz for l in self.levels) / self.levels[0].A.nnz
@@ -81,7 +76,7 @@ class AmgHierarchy:
                 {
                     "size": l.A.nrows,
                     "nnz": l.A.nnz,
-                    "aggregates": l.n_aggregates,
+                    "aggregates": l.P.ncols if l.P is not None else 0,
                     "smoother": l.smoother.family,
                     "degree": l.smoother.degree,
                 }
@@ -263,7 +258,10 @@ def build_hierarchy(
     unless ``A`` is square and symmetric with a positive diagonal, the
     coarse solver is ``l1_jacobi`` or ``dense_direct`` and ``coarse_sweeps``
     is at least 1.  Only the fine level is checked: the coarser ones are its
-    Galerkin products.
+    Galerkin products.  Every operator the V-cycle reads is built here: each
+    level's restriction ``R = P^T`` and, for ``dense_direct``, the Cholesky
+    factor of the coarsest level, which must have at most ``MAX_DENSE_N`` rows
+    and be positive definite (``ValueError`` otherwise).
     """
     if coarse_solver not in ("l1_jacobi", "dense_direct"):
         raise ValueError(f"unknown coarse solver {coarse_solver!r}")
@@ -301,13 +299,25 @@ def build_hierarchy(
             break
         Ac = galerkin_rap(Al, P)
         levels[-1].P = P
-        levels[-1].n_aggregates = P.ncols
+        levels[-1].R = P.transpose()
         levels.append(Level(A=Ac, M=l1_jacobi_diag(Ac), smoother=smoother))
+    coarse_factor = None
+    if coarse_solver == "dense_direct":
+        Ac = levels[-1].A
+        if Ac.nrows > MAX_DENSE_N:
+            raise ValueError(
+                f"dense_direct coarsest level has {Ac.nrows} rows, more than {MAX_DENSE_N}"
+            )
+        try:
+            coarse_factor = scipy.linalg.cho_factor(Ac.to_dense(), lower=True)
+        except np.linalg.LinAlgError as exc:  # non-positive pivot
+            raise ValueError("dense_direct coarsest level is not positive definite") from exc
     return AmgHierarchy(
-        levels=levels,
+        levels=tuple(levels),
         coarse_smoother=coarse_smoother,
         coarse_solver=coarse_solver,
         stagnated=stagnated >= 2,
+        coarse_factor=coarse_factor,
     )
 
 
@@ -317,9 +327,7 @@ def build_hierarchy(
 def _coarse_solve(h, r):
     level = h.levels[-1]
     if h.coarse_solver == "dense_direct":
-        if h._coarse_dense is None:
-            h._coarse_dense = level.A.to_dense()
-        return dense_cholesky_solve(h._coarse_dense, r)
+        return scipy.linalg.cho_solve(h.coarse_factor, r)
     return smoother_apply(h.coarse_smoother, level.A, level.M, r)
 
 
@@ -337,7 +345,7 @@ def vcycle_apply(h, r, _level=0):
     level = h.levels[_level]
     x = smoother_apply(level.smoother, level.A, level.M, r)
     resid = r - spmv(level.A, x)
-    rc = spmv(level.restrict_op(), resid)
+    rc = spmv(level.R, resid)
     xc = vcycle_apply(h, rc, _level + 1)
     x = x + spmv(level.P, xc)
     return smoother_apply(level.smoother, level.A, level.M, r, x)

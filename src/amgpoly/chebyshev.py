@@ -33,22 +33,6 @@ def cheb1_eval(k, x):
     return val if x > 0 or k % 2 == 0 else -val
 
 
-def cheb2_eval(k, x):
-    """Second-kind Chebyshev polynomial q_k(x): q_0=1, q_1=2x."""
-    if k == 0:
-        return 1.0
-    if abs(x) <= 1.0:
-        qm, q = 1.0, 2.0 * x
-        for _ in range(k - 1):
-            qm, q = q, 2.0 * x * q - qm
-        return q
-    s = math.sqrt(x * x - 1.0)
-    y = abs(x)
-    big = (y + s) ** (k + 1)
-    val = (big - 1.0 / big) / (2.0 * s)
-    return val if x > 0 or k % 2 == 0 else -val
-
-
 def fourth_kind_basis(arg, k):
     """Fourth-kind Chebyshev values [W_0(arg), ..., W_k(arg)].
 

@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,11 @@ from .krylov import KrylovConfig, solve
 from .optimize import gamma_cheb4, lambda_of, load_beta_tables, optimal_a, params_csv_rows
 from .problems import aniso2d_q1, poisson3d, spectral_synthetic
 from .smoothers import PolySmootherConfig, as_preconditioner, l1_jacobi_diag
-from .sparse import read_matrix_market
+from .sparse import MAX_DENSE_N, read_matrix_market
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BREAKDOWN = 3
-
-# Largest dense synthetic operator (``problem=spectral``, spectrum-grid sizes):
-# each one holds n x n dense factors.
-MAX_DENSE_N = 1024
 
 
 class ConfigError(Exception):
@@ -62,10 +59,14 @@ def _write_rows(out, header, rows):
         w.writerow([_fmt(v) for v in row])
 
 
-def _open_output(path):
+@contextmanager
+def _output(path):
+    """The file at ``path``, or stdout for ``None`` or ``-``."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as out:
+            yield out
 
 
 def _max_workers():
@@ -89,12 +90,8 @@ def cmd_optimize(args):
     if not 0 <= args.kmax <= 30:
         raise ConfigError("kmax must lie in 0..30")
     rows = [[r[h] for h in PARAMS_HEADER] for r in params_csv_rows(args.kmax)]
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _write_rows(out, PARAMS_HEADER, rows)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -109,12 +106,8 @@ def cmd_bounds(args):
         g4 = gamma_cheb4(k)
         go4 = betas[k].gamma_value if k in betas else math.nan
         rows.append([k, g4, lam, go4, int(lam < g4)])
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _write_rows(out, header, rows)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -254,13 +247,9 @@ def cmd_solve(args):
     t0 = time.perf_counter()
     report, rep = run_solve(cfg)
     elapsed = time.perf_counter() - t0
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(report, out, indent=2)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
     return EXIT_BREAKDOWN if rep.breakdown else EXIT_OK
 
@@ -311,12 +300,8 @@ def cmd_spectrum_grid(args):
         i1, c1 = iters["opt_cheb1"]
         i4, c4 = iters["cheb4"]
         rows.append([dist, n, k, i1, int(c1), i4, int(c4), i1 - i4])
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _write_rows(out, header, rows)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

@@ -7,7 +7,6 @@ computable proxy for the error tolerance quoted with the benchmark runs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,6 @@ class SolveReport:
     spmv_count: int = 0
     precond_count: int = 0
     breakdown: bool = False
-    elapsed_s: float = 0.0
 
 
 def solve(A, b, precond=None, cfg=None, x0=None):
@@ -53,13 +51,12 @@ def solve(A, b, precond=None, cfg=None, x0=None):
     b = np.asarray(b, dtype=np.float64)
     n = len(b)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    t0 = time.perf_counter()
 
     spmv = 0
     pc = 0
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x * 0.0, SolveReport(0, True, 0.0, [], 0, 0, elapsed_s=time.perf_counter() - t0)
+        return x * 0.0, SolveReport(0, True, 0.0, [], 0, 0)
 
     r = b - A.matvec(x)
     spmv += 1
@@ -77,7 +74,6 @@ def solve(A, b, precond=None, cfg=None, x0=None):
             spmv_count=spmv,
             precond_count=pc,
             breakdown=breakdown,
-            elapsed_s=time.perf_counter() - t0,
         )
 
     if relres <= cfg.tol:

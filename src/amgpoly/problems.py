@@ -110,18 +110,19 @@ def aniso2d_q1(m, epsilon, angle):
 class SpectralOperator:
     """Dense synthetic operator A = Q D Q^T with a discrete sine basis.
 
-    Applied through the factors when the size is large; the assembled array
-    is materialized lazily only where entries are needed (l1 diagonal).
+    The n x n array is assembled once, in the constructor; every matvec is
+    one dense product with it.
     """
 
     n: int
     eigenvalues: np.ndarray
     _Q: np.ndarray = field(init=False, repr=False)
-    _dense: np.ndarray | None = field(default=None, repr=False)
+    _dense: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         i = np.arange(1, self.n + 1)
         self._Q = np.sqrt(2.0 / (self.n + 1)) * np.sin(np.outer(i, i) * np.pi / (self.n + 1))
+        self._dense = (self._Q * self.eigenvalues) @ self._Q.T
 
     @property
     def nrows(self):
@@ -132,17 +133,13 @@ class SpectralOperator:
         return self.n
 
     def matvec(self, x):
-        if self.n > 512:
-            return self._Q @ (self.eigenvalues * (self._Q.T @ x))
-        return self.to_dense() @ x
+        return self._dense @ x
 
     def to_dense(self):
-        if self._dense is None:
-            self._dense = (self._Q * self.eigenvalues) @ self._Q.T
         return self._dense
 
     def l1_diag(self):
-        A = (self._Q * self.eigenvalues) @ self._Q.T if self.n > 512 else self.to_dense()
+        A = self._dense
         d = np.diag(A)
         if np.any(d <= 0.0):
             raise ValueError("operator has a non-positive diagonal entry")

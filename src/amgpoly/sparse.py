@@ -12,8 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io
-import scipy.linalg
 import scipy.sparse
+
+# Largest dense n x n array the library assembles: the synthetic spectral
+# operator (``solve problem=spectral``, spectrum-grid sizes) and the
+# ``dense_direct`` coarsest level.
+MAX_DENSE_N = 1024
 
 # Global SpMV counter used by the cost-accounting tests: one degree-k
 # polynomial application and k basic sweeps must report the same count.
@@ -211,19 +215,6 @@ def jacobi_sym_eig(S, max_sweeps=100, tol=1e-12):
     w = np.diag(A).copy()
     order = np.argsort(w)
     return w[order], V[:, order]
-
-
-def dense_cholesky_solve(S, b):
-    """Solve S x = b for SPD S via Cholesky factorization."""
-    S = _check_symmetric(S)
-    b = np.asarray(b, dtype=np.float64)
-    if len(b) != S.shape[0]:
-        raise ValueError("right-hand side length mismatch")
-    try:
-        c, low = scipy.linalg.cho_factor(S, lower=True)
-    except np.linalg.LinAlgError as exc:  # non-positive pivot
-        raise ValueError("matrix is not positive definite") from exc
-    return scipy.linalg.cho_solve((c, low), b)
 
 
 # -- Matrix Market I/O ------------------------------------------------------

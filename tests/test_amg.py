@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -177,6 +178,17 @@ class TestBuildHierarchy:
         with pytest.raises(ValueError, match=message):
             build_hierarchy(A)
 
+    def test_dense_direct_rejects_indefinite_coarsest_level(self):
+        A = CsrMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="positive definite"):
+            build_hierarchy(A, coarse_solver="dense_direct")
+
+    def test_built_hierarchy_is_frozen(self):
+        A, _ = poisson3d(4)
+        h = build_hierarchy(A, min_coarse_size=10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.coarse_solver = "dense_direct"
+
     def test_summary_json_roundtrip(self):
         A, _ = poisson3d(4)
         h = build_hierarchy(A, min_coarse_size=10)
@@ -186,11 +198,19 @@ class TestBuildHierarchy:
 
 
 class TestVcycle:
-    def test_single_level_direct_is_exact(self):
-        A = tridiag(12)
+    @pytest.mark.parametrize(
+        "A, r",
+        [
+            (tridiag(12), np.ones(12)),
+            (CsrMatrix.identity(3), np.array([4.0, 5.0, 6.0])),
+            (CsrMatrix.from_dense(np.diag([2.0, 4.0])), np.array([2.0, 8.0])),
+            (tridiag(4), tridiag(4).to_dense() @ np.array([1.0, 2.0, 3.0, 4.0])),
+        ],
+        ids=["tridiag12", "identity3", "diag2_4", "tridiag4"],
+    )
+    def test_single_level_direct_is_exact(self, A, r):
         h = build_hierarchy(A, min_coarse_size=20, coarse_solver="dense_direct")
         assert len(h.levels) == 1
-        r = np.ones(12)
         assert np.allclose(
             vcycle_apply(h, r), np.linalg.solve(A.to_dense(), r), atol=1e-10
         )
@@ -258,7 +278,7 @@ class TestVcycle:
             if lvl == len(h.levels) - 1:
                 return smoother_apply(h.coarse_smoother, level.A, level.M, r, np.zeros_like(r))
             x = smoother_apply(level.smoother, level.A, level.M, r, np.zeros_like(r))
-            rc = spmv(level.restrict_op(), r - spmv(level.A, x))
+            rc = spmv(level.R, r - spmv(level.A, x))
             x = x + spmv(level.P, reference(h, rc, lvl + 1))
             return smoother_apply(level.smoother, level.A, level.M, r, x)
 

@@ -9,7 +9,6 @@ from amgpoly.chebyshev import (
     ScaledChebParams,
     c1_coefficient,
     cheb1_eval,
-    cheb2_eval,
     cheb4_eval,
     coefficient_roots,
     fourth_kind_basis,
@@ -40,15 +39,6 @@ class TestCheb1:
     def test_cosh_identity_outside(self, k, x):
         expected = math.cosh(k * math.acosh(x))
         assert cheb1_eval(k, x) == pytest.approx(expected, rel=1e-13)
-
-
-class TestCheb2:
-    def test_degree_zero_and_one(self):
-        assert cheb2_eval(0, 0.7) == 1.0
-        assert cheb2_eval(1, 0.3) == pytest.approx(0.6)
-
-    def test_recurrence_value(self):
-        assert cheb2_eval(2, 2.0) == pytest.approx(15.0)
 
 
 class TestCheb4:

@@ -16,7 +16,7 @@ from amgpoly.cli import (
     parse_config,
     run_solve,
 )
-from amgpoly.sparse import write_matrix_market
+from amgpoly.sparse import CsrMatrix, write_matrix_market
 
 from conftest import tridiag
 
@@ -82,6 +82,16 @@ class TestExitCodes:
         args = ["solve", "--override", "problem=spectral", "--override", "n=1026"]
         assert main(args) == EXIT_CONFIG
         assert "n must be <= 1024" in capsys.readouterr().err
+
+    def test_oversize_dense_coarse_is_2(self, monkeypatch, capsys):
+        def no_densify(A):
+            raise AssertionError("the coarsest level must not be densified")
+
+        monkeypatch.setattr(CsrMatrix, "to_dense", no_densify)
+        args = ["solve", "--override", "m=12", "--override", "max_levels=1",
+                "--override", "coarse_solver=dense_direct"]
+        assert main(args) == EXIT_CONFIG
+        assert "1728 rows, more than 1024" in capsys.readouterr().err
 
     def test_zero_coarse_sweeps_is_2(self, capsys):
         args = ["solve", "--override", "m=6", "--override", "coarse_sweeps=0"]

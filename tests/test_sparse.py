@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from amgpoly.problems import poisson3d
 from amgpoly.sparse import (
     CsrMatrix,
-    dense_cholesky_solve,
     dense_sym_eig,
     fused_update,
     jacobi_sym_eig,
@@ -152,23 +151,6 @@ class TestDenseEig:
         w_jac, V = jacobi_sym_eig(S)
         assert np.allclose(w_jac, w_ref, rtol=1e-10, atol=1e-10)
         assert np.linalg.norm(S @ V - V * w_jac) <= 1e-9 * np.linalg.norm(S)
-
-
-class TestCholesky:
-    def test_identity(self):
-        assert np.allclose(dense_cholesky_solve(np.eye(3), [4.0, 5.0, 6.0]), [4, 5, 6])
-
-    def test_diagonal(self):
-        assert np.allclose(dense_cholesky_solve(np.diag([2.0, 4.0]), [2.0, 8.0]), [1, 2])
-
-    def test_tridiag_forward_multiply(self):
-        A = tridiag(4).to_dense()
-        xs = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(dense_cholesky_solve(A, A @ xs), xs, atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            dense_cholesky_solve(np.diag([1.0, -1.0]), [1.0, 1.0])
 
 
 class TestGalerkinSymmetry:
