@@ -61,11 +61,20 @@ class Level:
 
 @dataclass(frozen=True)
 class AmgHierarchy:
-    levels: tuple  # fine to coarse
-    coarse_smoother: PolySmootherConfig  # the l1_jacobi coarse solver's sweeps
-    coarse_solver: str = "l1_jacobi"  # or "dense_direct"
+    """Levels fine to coarse and one coarse solver.
+
+    Exactly one of ``coarse_smoother`` (the ``l1_jacobi`` sweeps) and
+    ``coarse_factor`` (the ``dense_direct`` Cholesky factor) is set.
+    """
+
+    levels: tuple
+    coarse_smoother: PolySmootherConfig | None
+    coarse_factor: tuple | None = field(default=None, repr=False)
     stagnated: bool = False
-    coarse_factor: tuple | None = field(default=None, repr=False)  # dense_direct Cholesky
+
+    @property
+    def coarse_solver(self):
+        return "l1_jacobi" if self.coarse_factor is None else "dense_direct"
 
     def operator_complexity(self):
         return sum(l.A.nnz for l in self.levels) / self.levels[0].A.nnz
@@ -267,7 +276,6 @@ def build_hierarchy(
         raise ValueError(f"unknown coarse solver {coarse_solver!r}")
     if coarse_sweeps < 1:
         raise ValueError("coarse_sweeps must be >= 1")
-    coarse_smoother = PolySmootherConfig(family="l1_jacobi", degree=coarse_sweeps)
     M = l1_jacobi_diag(A)  # rejects a matrix not square or without a positive diagonal
     if not A.is_symmetric():
         raise ValueError("A must be symmetric")
@@ -301,8 +309,10 @@ def build_hierarchy(
         levels[-1].P = P
         levels[-1].R = P.transpose()
         levels.append(Level(A=Ac, M=l1_jacobi_diag(Ac), smoother=smoother))
-    coarse_factor = None
-    if coarse_solver == "dense_direct":
+    coarse_smoother = coarse_factor = None
+    if coarse_solver == "l1_jacobi":
+        coarse_smoother = PolySmootherConfig(family="l1_jacobi", degree=coarse_sweeps)
+    else:
         Ac = levels[-1].A
         if Ac.nrows > MAX_DENSE_N:
             raise ValueError(
@@ -315,9 +325,8 @@ def build_hierarchy(
     return AmgHierarchy(
         levels=tuple(levels),
         coarse_smoother=coarse_smoother,
-        coarse_solver=coarse_solver,
-        stagnated=stagnated >= 2,
         coarse_factor=coarse_factor,
+        stagnated=stagnated >= 2,
     )
 
 
@@ -326,7 +335,7 @@ def build_hierarchy(
 
 def _coarse_solve(h, r):
     level = h.levels[-1]
-    if h.coarse_solver == "dense_direct":
+    if h.coarse_factor is not None:
         return scipy.linalg.cho_solve(h.coarse_factor, r)
     return smoother_apply(h.coarse_smoother, level.A, level.M, r)
 

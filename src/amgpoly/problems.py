@@ -116,13 +116,11 @@ class SpectralOperator:
 
     n: int
     eigenvalues: np.ndarray
-    _Q: np.ndarray = field(init=False, repr=False)
     _dense: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        i = np.arange(1, self.n + 1)
-        self._Q = np.sqrt(2.0 / (self.n + 1)) * np.sin(np.outer(i, i) * np.pi / (self.n + 1))
-        self._dense = (self._Q * self.eigenvalues) @ self._Q.T
+        Q = self.basis()
+        self._dense = (Q * self.eigenvalues) @ Q.T
 
     @property
     def nrows(self):
@@ -146,7 +144,9 @@ class SpectralOperator:
         return np.abs(A).sum(axis=1) - np.abs(d) + d
 
     def basis(self):
-        return self._Q
+        """The orthonormal discrete sine basis Q, built anew on each call."""
+        i = np.arange(1, self.n + 1)
+        return np.sqrt(2.0 / (self.n + 1)) * np.sin(np.outer(i, i) * np.pi / (self.n + 1))
 
 
 def spectral_synthetic(n, distribution):

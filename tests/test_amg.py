@@ -136,6 +136,7 @@ class TestBuildHierarchy:
         A = CsrMatrix.from_dense([[4.0]])
         h = build_hierarchy(A, coarse_solver="dense_direct")
         assert len(h.levels) == 1
+        assert h.coarse_solver == "dense_direct" and h.coarse_smoother is None
 
     def test_poisson3d_matching_depth(self):
         A, _ = poisson3d(8)
@@ -187,7 +188,7 @@ class TestBuildHierarchy:
         A, _ = poisson3d(4)
         h = build_hierarchy(A, min_coarse_size=10)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            h.coarse_solver = "dense_direct"
+            h.stagnated = True
 
     def test_summary_json_roundtrip(self):
         A, _ = poisson3d(4)
