@@ -11,7 +11,8 @@ import         summarize a Matrix Market file
 Every command is a pure function of its inputs and the shipped parameter
 tables: outputs are byte-identical across runs.  Wall-clock metadata goes to
 stderr, never into the report files.  Exit codes: 0 success, 2 config error,
-3 solver breakdown.
+3 solver breakdown, 4 ``solve`` stopped at ``itmax`` without converging (the
+report is still written; ``spectrum-grid`` records convergence per cell).
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
-from .amg import AmgHierarchy, CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
+from .amg import CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
 from .krylov import KrylovConfig, solve
 from .optimize import gamma_cheb4, lambda_of, load_beta_tables, optimal_a, params_csv_rows
 from .problems import aniso2d_q1, poisson3d, spectral_synthetic
@@ -39,6 +37,7 @@ from .sparse import MAX_DENSE_N, read_matrix_market
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BREAKDOWN = 3
+EXIT_NOT_CONVERGED = 4
 
 
 class ConfigError(Exception):
@@ -67,15 +66,6 @@ def _output(path):
     else:
         with open(path, "w") as out:
             yield out
-
-
-def _max_workers():
-    raw = os.environ.get("AMGPOLY_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"AMGPOLY_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 # -- optimize / bounds -------------------------------------------------------
@@ -251,7 +241,9 @@ def cmd_solve(args):
         json.dump(report, out, indent=2)
         out.write("\n")
     print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
-    return EXIT_BREAKDOWN if rep.breakdown else EXIT_OK
+    if rep.breakdown:
+        return EXIT_BREAKDOWN
+    return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 
 
 # -- spectrum-grid -----------------------------------------------------------
@@ -259,47 +251,33 @@ def cmd_solve(args):
 GRID_DISTRIBUTIONS = ("equispaced", "boundary", "gapped")
 
 
-def _grid_cell(task):
-    dist, n, k, tol, itmax = task
-    A, b = spectral_synthetic(n, dist)
-    M = l1_jacobi_diag(A)
-    cfg = KrylovConfig(variant="pcg", tol=tol, itmax=itmax, record_history=False)
-    iters = {}
-    for family in ("opt_cheb1", "cheb4"):
-        sm = PolySmootherConfig(family=family, degree=k)
-        _, rep = solve(A, b, precond=as_preconditioner(sm, A, M), cfg=cfg)
-        iters[family] = (rep.iterations, rep.converged)
-    return dist, n, k, iters
-
-
 def cmd_spectrum_grid(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    degrees = [int(s) for s in args.degrees.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+        degrees = [int(s) for s in args.degrees.split(",")]
+        cfg = KrylovConfig(variant="pcg", tol=args.tol, itmax=args.itmax, record_history=False)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if any(n % 2 or n > MAX_DENSE_N for n in sizes):
         raise ConfigError(f"sizes must be even and <= {MAX_DENSE_N}")
     if any(k < 1 for k in degrees):
         raise ConfigError("degrees must be >= 1")
-    tasks = [
-        (dist, n, k, args.tol, args.itmax)
-        for dist in GRID_DISTRIBUTIONS
-        for n in sizes
-        for k in degrees
-    ]
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_cell, tasks))
-    else:
-        results = [_grid_cell(t) for t in tasks]
     header = [
         "distribution", "n", "k",
         "iters_cheb1", "converged_cheb1", "iters_cheb4", "converged_cheb4", "diff",
     ]
     rows = []
-    for dist, n, k, iters in results:  # task order == deterministic config order
-        i1, c1 = iters["opt_cheb1"]
-        i4, c4 = iters["cheb4"]
-        rows.append([dist, n, k, i1, int(c1), i4, int(c4), i1 - i4])
+    for dist in GRID_DISTRIBUTIONS:
+        for n in sizes:
+            A, b = spectral_synthetic(n, dist)
+            M = l1_jacobi_diag(A)
+            for k in degrees:
+                row = [dist, n, k]
+                for family in ("opt_cheb1", "cheb4"):
+                    sm = PolySmootherConfig(family=family, degree=k)
+                    _, rep = solve(A, b, precond=as_preconditioner(sm, A, M), cfg=cfg)
+                    row += [rep.iterations, int(rep.converged)]
+                rows.append(row + [row[3] - row[5]])  # iters_cheb1 - iters_cheb4
     with _output(args.output) as out:
         _write_rows(out, header, rows)
     return EXIT_OK

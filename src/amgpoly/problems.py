@@ -136,13 +136,6 @@ class SpectralOperator:
     def to_dense(self):
         return self._dense
 
-    def l1_diag(self):
-        A = self._dense
-        d = np.diag(A)
-        if np.any(d <= 0.0):
-            raise ValueError("operator has a non-positive diagonal entry")
-        return np.abs(A).sum(axis=1) - np.abs(d) + d
-
     def basis(self):
         """The orthonormal discrete sine basis Q, built anew on each call."""
         i = np.arange(1, self.n + 1)

@@ -37,6 +37,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .chebyshev import ScaledChebParams, fourth_kind_basis, scaled_cheb_eval
 from .optimize import BetaTable, load_beta_tables, optimal_a
+from .sparse import CsrMatrix
 
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
 
@@ -49,17 +50,18 @@ class L1JacobiData:
 
 
 def l1_jacobi_diag(A):
-    """l1-Jacobi diagonal of a square matrix with positive diagonal."""
-    if hasattr(A, "l1_diag"):
-        return L1JacobiData(m_diag=A.l1_diag())
+    """l1-Jacobi diagonal of a square matrix with positive diagonal.
+
+    Reads the scipy CSR storage of a ``CsrMatrix`` and the dense array of any
+    other operator (``SpectralOperator``); one formula serves both.
+    """
     if A.nrows != A.ncols:
         raise ValueError("matrix must be square")
-    sp = A.to_scipy()
-    diag = sp.diagonal()
-    if np.any(diag <= 0.0):
+    S = A.to_scipy() if isinstance(A, CsrMatrix) else A.to_dense()
+    d = S.diagonal()
+    if np.any(d <= 0.0):
         raise ValueError("non-positive diagonal entry")
-    abs_row = np.asarray(np.abs(sp).sum(axis=1)).ravel()
-    return L1JacobiData(m_diag=abs_row - np.abs(diag) + diag)
+    return L1JacobiData(m_diag=np.asarray(abs(S).sum(axis=1)).ravel() - np.abs(d) + d)
 
 
 @dataclass(frozen=True)

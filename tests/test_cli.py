@@ -9,6 +9,7 @@ from amgpoly import cli
 from amgpoly.cli import (
     EXIT_BREAKDOWN,
     EXIT_CONFIG,
+    EXIT_NOT_CONVERGED,
     EXIT_OK,
     ConfigError,
     build_problem,
@@ -16,6 +17,7 @@ from amgpoly.cli import (
     parse_config,
     run_solve,
 )
+from amgpoly.problems import spectral_synthetic
 from amgpoly.sparse import CsrMatrix, write_matrix_market
 
 from conftest import tridiag
@@ -175,7 +177,8 @@ class TestSolveCommand:
 
     def test_itmax_one_not_converged(self, tmp_path, capsys):
         out = tmp_path / "r.json"
-        main(["solve", "--override", "m=8", "--override", "itmax=1", "-o", str(out)])
+        args = ["solve", "--override", "m=8", "--override", "itmax=1", "-o", str(out)]
+        assert main(args) == EXIT_NOT_CONVERGED
         report = json.loads(out.read_text())
         assert report["solve"]["converged"] is False
         assert report["solve"]["iterations"] == 1
@@ -257,17 +260,50 @@ class TestSpectrumGridCommand:
         for r in rows:
             assert int(r["diff"]) == int(r["iters_cheb1"]) - int(r["iters_cheb4"])
 
+    def test_unconverged_cells_exit_0(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main([
+            "spectrum-grid", "--sizes", "16", "--degrees", "1", "--itmax", "1", "-o", str(out)
+        ]) == EXIT_OK
+        rows = list(csv.DictReader(out.open()))
+        assert {r["converged_cheb1"] for r in rows} == {r["converged_cheb4"] for r in rows} == {"0"}
+
     def test_rejects_odd_sizes(self, capsys):
         assert main(["spectrum-grid", "--sizes", "15", "--degrees", "1"]) == EXIT_CONFIG
 
-    def test_workers_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AMGPOLY_THREADS", "2")
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        main(["spectrum-grid", "--sizes", "16", "--degrees", "1,2,3", "-o", str(a)])
-        monkeypatch.setenv("AMGPOLY_THREADS", "1")
-        main(["spectrum-grid", "--sizes", "16", "--degrees", "1,2,3", "-o", str(b)])
+    @pytest.mark.parametrize("extra", [
+        ["--sizes", "16,x", "--degrees", "1"],
+        ["--sizes", "16", "--degrees", "1", "--itmax", "0"],
+        ["--sizes", "16", "--degrees", "1", "--tol", "0"],
+    ])
+    def test_bad_values_are_config_errors(self, extra, capsys):
+        assert main(["spectrum-grid"] + extra) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_byte_identical_reruns(self, tmp_path):
+        args = ["spectrum-grid", "--sizes", "16", "--degrees", "1,2,3"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["-o", str(a)]) == EXIT_OK
+        assert main(args + ["-o", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_operator_per_distribution_and_size(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(n, distribution):
+            built.append((distribution, n))
+            return spectral_synthetic(n, distribution)
+
+        monkeypatch.setattr(cli, "spectral_synthetic", counting)
+        out = tmp_path / "g.csv"
+        assert main([
+            "spectrum-grid", "--sizes", "16,32", "--degrees", "1,2,3", "-o", str(out)
+        ]) == EXIT_OK
+        assert len(built) == 6
+        assert sorted(built) == sorted(
+            (dist, n) for dist in cli.GRID_DISTRIBUTIONS for n in (16, 32)
+        )
+        assert len(list(csv.DictReader(out.open()))) == 3 * 2 * 3
 
 
 class TestImportCommand:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amgpoly.chebyshev import ScaledChebParams, cheb4_eval, scaled_cheb_eval
-from amgpoly.problems import poisson3d
+from amgpoly.problems import SpectralOperator, poisson3d, spectral_synthetic
 from amgpoly.smoothers import (
     FAMILIES,
     PolySmootherConfig,
@@ -42,6 +42,18 @@ class TestL1Diag:
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
             l1_jacobi_diag(CsrMatrix.from_dense([[0.0, 1.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("distribution", ["equispaced", "boundary", "gapped"])
+    def test_spectral_operator_matches_dense_formula(self, distribution):
+        op, _ = spectral_synthetic(32, distribution)
+        D = op.to_dense()
+        d = np.diag(D)
+        expected = np.abs(D).sum(axis=1) - np.abs(d) + d
+        assert l1_jacobi_diag(op).m_diag.tobytes() == expected.tobytes()
+
+    def test_spectral_operator_negative_eigenvalues_rejected(self):
+        with pytest.raises(ValueError, match="non-positive diagonal"):
+            l1_jacobi_diag(SpectralOperator(8, -np.linspace(0.1, 1.0, 8)))
 
     def test_spectrum_of_scaled_operator_in_unit_interval(self):
         A = random_spd(30, seed=5)
