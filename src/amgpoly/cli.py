@@ -258,8 +258,8 @@ def cmd_spectrum_grid(args):
         cfg = KrylovConfig(variant="pcg", tol=args.tol, itmax=args.itmax, record_history=False)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if any(n % 2 or n > MAX_DENSE_N for n in sizes):
-        raise ConfigError(f"sizes must be even and <= {MAX_DENSE_N}")
+    if any(n < 2 or n % 2 or n > MAX_DENSE_N for n in sizes):
+        raise ConfigError(f"sizes must be even, >= 2 and <= {MAX_DENSE_N}")
     if any(k < 1 for k in degrees):
         raise ConfigError("degrees must be >= 1")
     header = [
@@ -329,7 +329,7 @@ def make_parser():
     ps.set_defaults(func=cmd_solve)
 
     pg = sub.add_parser("spectrum-grid", help="iteration grid, smoother-only CG")
-    pg.add_argument("--sizes", required=True, help="comma-separated even sizes")
+    pg.add_argument("--sizes", required=True, help="comma-separated even sizes >= 2")
     pg.add_argument("--degrees", required=True, help="comma-separated degrees")
     pg.add_argument("--tol", type=float, default=1e-5)
     pg.add_argument("--itmax", type=int, default=2000)

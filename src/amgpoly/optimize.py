@@ -197,6 +197,13 @@ def _beta_objective(grid, base, basis, beta):
     return float(np.max(grid * pv * pv / denom))
 
 
+def _local_maxima(v):
+    """Indices where v is no smaller than its neighbour(s)."""
+    left = np.concatenate([[True], v[1:] >= v[:-1]])
+    right = np.concatenate([v[:-1] >= v[1:], [True]])
+    return np.flatnonzero(left & right)
+
+
 def optimize_beta(k, grid_size=20001, max_rounds=60):
     """Grid minimax for the optimized fourth-kind coefficient table.
 
@@ -206,6 +213,21 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
     |p(x)| <= sqrt(t/(t+x)) on the grid.  Bisection on t with an LP
     feasibility check per level therefore converges to the grid optimum;
     ``max_rounds`` caps the bisection steps.
+
+    Each level's LP (minimize a shared slack s subject to
+    |p(x)| <= bound(x) + s) runs on a working set W of thinned-grid points,
+    kept from level to level (constraint generation for a semi-infinite LP).
+    The level is infeasible when s_W > 1e-12, exactly as on the full grid:
+    W is a subset of the grid, so the full LP's slack is at least s_W.
+    Otherwise v = |p(x)| - bound(x) is evaluated on the whole grid, and the
+    level is feasible when no point outside W has v > s_W + 1e-9, so beta_W
+    meets every grid constraint to within 1e-9.  That margin is below
+    HiGHS's feasibility tolerance, the resolution at which the full-grid LP
+    itself decides; a strict 1e-12 check would never settle, because near
+    x = 0 every beta leaves |v| < 1e-8.  After every LP the points over the
+    margin that lie within 5 grid points of a local maximum of v join W, and
+    a level feasible on W but not on the grid re-solves.  Every re-solve
+    adds at least one point, so the worst case is the full-grid LP.
     """
     if not 1 <= k <= 12:
         raise ValueError("beta tables supported for 1 <= k <= 12")
@@ -217,29 +239,55 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
     # always reported on the full grid.
     grid = np.logspace(-8.0, 0.0, min(grid_size, 6001))
     base, basis = _beta_basis(k, grid)
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
 
-    # p(x) rows: A_ub beta <= b_ub encodes +-p(x) <= bound(x) with a shared
-    # slack variable minimized by the LP; feasible level iff slack <= 0.
+    def violation(beta, t):
+        return np.abs(base + beta @ basis) - np.sqrt(t / (t + grid))
+
+    def near_peaks(v):
+        peaks = np.zeros(grid.size)
+        peaks[_local_maxima(v)] = 1.0
+        return np.convolve(peaks, np.ones(11), mode="same") > 0.5
+
+    beta = np.ones(k)  # plain 4th-kind table, feasible at hi
+    hi = _beta_objective(grid, base, basis, beta)
+    in_w = np.zeros(grid.size, dtype=bool)
+    in_w[::100] = True
+    in_w[-1] = True
+    in_w[_local_maxima(violation(beta, hi))] = True
+
+    # p(x) rows of W: A_ub beta <= b_ub encodes +-p(x) <= bound(x) with a
+    # shared slack variable minimized by the LP.
     def feasible(t):
-        bound = np.sqrt(t / (t + grid))
-        A = np.concatenate([basis.T, -basis.T])
-        A = np.hstack([A, -np.ones((A.shape[0], 1))])
-        b = np.concatenate([bound - base, bound + base])
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * (k + 1),
-                      method="highs")
-        if not res.success:
-            return False, None
-        return res.x[-1] <= 1e-12, res.x[:k]
+        while True:
+            idx = np.flatnonzero(in_w)
+            bound = np.sqrt(t / (t + grid[idx]))
+            rows = basis[:, idx].T
+            A = np.hstack([np.concatenate([rows, -rows]), -np.ones((2 * idx.size, 1))])
+            b = np.concatenate([bound - base[idx], bound + base[idx]])
+            res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * (k + 1),
+                          method="highs")
+            if not res.success:
+                return False, None
+            beta_w, slack = res.x[:k], res.x[-1]
+            v = violation(beta_w, t)
+            over = (v > slack + 1e-9) & ~in_w
+            if over.any():
+                add = over & near_peaks(v)
+                if not add.any():  # keeps every re-solve adding a point
+                    add[np.argmax(np.where(over, v, -np.inf))] = True
+                in_w[add] = True
+            if slack > 1e-12:
+                return False, None
+            if not over.any():
+                return True, beta_w
 
-    hi = _beta_objective(grid, base, basis, np.ones(k))  # plain 4th-kind table
     lo = 0.25 * hi
-    ok, beta = feasible(lo)
+    ok, candidate = feasible(lo)
     while ok:
-        hi, lo = lo, 0.5 * lo
-        ok, beta = feasible(lo)
-    _, beta = feasible(hi)
+        hi, lo, beta = lo, 0.5 * lo, candidate
+        ok, candidate = feasible(lo)
     rounds = 0
     while hi - lo > 1e-7 * hi and rounds < max_rounds:
         mid = 0.5 * (lo + hi)

@@ -147,9 +147,10 @@ def spectral_synthetic(n, distribution):
 
     Distributions: 'equispaced' (eigenvalues j/N), 'boundary' (accumulating
     at 0 and 1), 'gapped' (two log-spaced clusters separated by a gap).
+    ``n`` must be even and at least 2.
     """
-    if n % 2 != 0:
-        raise ValueError("n must be even")
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"n must be even and >= 2, got {n}")
     if distribution == "equispaced":
         d = np.arange(1, n + 1) / n
     elif distribution == "boundary":

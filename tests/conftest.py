@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import strategies as st
 
 from amgpoly.sparse import CsrMatrix
 
@@ -38,6 +39,22 @@ def random_spd(n, seed=0, shift=0.0):
     G = rng.standard_normal((n, n))
     S = G.T @ G + (shift + n * 0.05) * np.eye(n)
     return CsrMatrix.from_dense(S)
+
+
+@st.composite
+def integer_m_matrices(draw):
+    """Symmetric M-matrices with small integer entries: many tied weights."""
+    n = draw(st.integers(1, 24))
+    upper = draw(
+        st.lists(st.sampled_from([0, 0, 0, -1, -2, -3]), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2)
+    )
+    extra = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    A = np.zeros((n, n))
+    A[np.triu_indices(n, 1)] = upper
+    A = A + A.T
+    A[np.diag_indices(n)] = -A.sum(axis=1) + extra
+    return CsrMatrix.from_dense(A)
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amgpoly.amg import (
     CoarseningConfig,
@@ -20,7 +22,7 @@ from amgpoly.problems import poisson3d
 from amgpoly.smoothers import FAMILIES, PolySmootherConfig, l1_jacobi_diag, smoother_apply
 from amgpoly.sparse import CsrMatrix, reset_spmv_count, spmv, spmv_count
 
-from conftest import linear_interp_1d, poisson2d_5pt, random_spd, tridiag
+from conftest import integer_m_matrices, linear_interp_1d, poisson2d_5pt, random_spd, tridiag
 
 
 class TestSaAggregate:
@@ -238,6 +240,29 @@ class TestVcycle:
             u, v = rng.standard_normal(64), rng.standard_normal(64)
             assert B(u) @ v == pytest.approx(u @ B(v), rel=1e-10, abs=1e-10)
             assert u @ B(u) > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        integer_m_matrices(),
+        st.sampled_from(FAMILIES),
+        st.integers(1, 12),
+        st.sampled_from(["smoothed_aggregation", "pairwise_matching"]),
+        st.sampled_from(["l1_jacobi", "dense_direct"]),
+    )
+    def test_preconditioner_spd_property(self, A, family, k, kind, coarse_solver):
+        h = build_hierarchy(
+            A,
+            coarsening=CoarseningConfig(kind=kind),
+            smoother=PolySmootherConfig(family=family, degree=k),
+            min_coarse_size=2,
+            coarse_solver=coarse_solver,
+            coarse_sweeps=3,
+        )
+        n = A.nrows
+        B = np.column_stack([vcycle_apply(h, e) for e in np.eye(n)])
+        scale = np.abs(B).max()
+        assert np.abs(B - B.T).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(0.5 * (B + B.T)).min() > 1e-8 * scale
 
     def test_two_level_contraction(self, rng):
         A, _ = poisson3d(4)

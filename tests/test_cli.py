@@ -85,6 +85,12 @@ class TestExitCodes:
         assert main(args) == EXIT_CONFIG
         assert "n must be <= 1024" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_spectral_n_below_two_is_2(self, n, capsys):
+        args = ["solve", "--override", "problem=spectral", "--override", f"n={n}"]
+        assert main(args) == EXIT_CONFIG
+        assert ">= 2" in capsys.readouterr().err
+
     def test_oversize_dense_coarse_is_2(self, monkeypatch, capsys):
         def no_densify(A):
             raise AssertionError("the coarsest level must not be densified")
@@ -270,6 +276,11 @@ class TestSpectrumGridCommand:
 
     def test_rejects_odd_sizes(self, capsys):
         assert main(["spectrum-grid", "--sizes", "15", "--degrees", "1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("sizes", ["0", "-2", "16,0"])
+    def test_rejects_sizes_below_two(self, sizes, capsys):
+        assert main(["spectrum-grid", f"--sizes={sizes}", "--degrees", "1"]) == EXIT_CONFIG
+        assert ">= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         ["--sizes", "16,x", "--degrees", "1"],

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amgpoly.chebyshev import ScaledChebParams, cheb4_eval, scaled_cheb_eval
 from amgpoly.optimize import (
+    _beta_basis,
+    _beta_objective,
     brent_root,
     compute_optimal_params,
     evaluate_gamma_numeric,
@@ -183,6 +186,68 @@ class TestOptimizeBeta:
     def test_not_worse_than_first_kind(self, k):
         # numerically optimized table beats the closed-form family value
         assert optimize_beta(k).gamma_value <= lambda_of(k, solve_a_star(k)) + 1e-9
+
+
+def optimize_beta_full_grid(k, grid_size=20001, max_rounds=60):
+    """Oracle: the bisection with every LP spanning the whole thinned grid."""
+    full_grid = np.logspace(-8.0, 0.0, grid_size)
+    full_base, full_basis = _beta_basis(k, full_grid)
+    grid = np.logspace(-8.0, 0.0, min(grid_size, 6001))
+    base, basis = _beta_basis(k, grid)
+
+    def feasible(t):
+        bound = np.sqrt(t / (t + grid))
+        A = np.concatenate([basis.T, -basis.T])
+        A = np.hstack([A, -np.ones((A.shape[0], 1))])
+        b = np.concatenate([bound - base, bound + base])
+        c = np.zeros(k + 1)
+        c[-1] = 1.0
+        res = scipy.optimize.linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * (k + 1),
+                                     method="highs")
+        if not res.success:
+            return False, None
+        return res.x[-1] <= 1e-12, res.x[:k]
+
+    hi = _beta_objective(grid, base, basis, np.ones(k))
+    lo = 0.25 * hi
+    ok, beta = feasible(lo)
+    while ok:
+        hi, lo = lo, 0.5 * lo
+        ok, beta = feasible(lo)
+    _, beta = feasible(hi)
+    rounds = 0
+    while hi - lo > 1e-7 * hi and rounds < max_rounds:
+        mid = 0.5 * (lo + hi)
+        ok, candidate = feasible(mid)
+        if ok:
+            hi, beta = mid, candidate
+        else:
+            lo = mid
+        rounds += 1
+    return beta, _beta_objective(full_grid, full_base, full_basis, beta)
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_matches_full_grid_bisection(self, k):
+        beta, gamma = optimize_beta_full_grid(k, grid_size=2001)
+        bt = optimize_beta(k, grid_size=2001)
+        assert bt.gamma_value == pytest.approx(gamma, rel=1e-5)
+        assert bt.beta == pytest.approx(beta, rel=1e-5)
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_lp_budget(self, k, monkeypatch):
+        widths = []
+        linprog = scipy.optimize.linprog
+
+        def counting(*args, **kwargs):
+            widths.append(kwargs["A_ub"].shape[1])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        optimize_beta(k)
+        assert 0 < len(widths) <= 26
+        assert set(widths) == {k + 1}
 
 
 class TestDataAssets:

@@ -109,6 +109,11 @@ class TestSpectral:
         with pytest.raises(ValueError):
             spectral_synthetic(5, "boundary")
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_n_below_two(self, n):
+        with pytest.raises(ValueError, match=">= 2"):
+            spectral_synthetic(n, "equispaced")
+
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ValueError):
             spectral_synthetic(8, "uniform")

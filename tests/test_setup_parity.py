@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from amgpoly.amg import _aggregates_to_prolongator as _prolongator
 from amgpoly.amg import matching_aggregate, sa_aggregate
 from amgpoly.problems import _q1_element_stiffness, aniso2d_q1, poisson3d
 from amgpoly.sparse import CsrMatrix
+
+from conftest import integer_m_matrices
 
 THETAS = (0.0, 0.01, 0.25, 0.5)
 SWEEPS = (1, 2, 3)
@@ -166,22 +167,6 @@ def test_sa_matches_loop(matrix):
 def test_matching_matches_loop(matrix):
     for sweeps in SWEEPS:
         assert_same_csr(matching_aggregate(matrix, sweeps), matching_aggregate_loop(matrix, sweeps))
-
-
-@st.composite
-def integer_m_matrices(draw):
-    """Symmetric M-matrices with small integer entries: many tied weights."""
-    n = draw(st.integers(1, 24))
-    upper = draw(
-        st.lists(st.sampled_from([0, 0, 0, -1, -2, -3]), min_size=n * (n - 1) // 2,
-                 max_size=n * (n - 1) // 2)
-    )
-    extra = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    A = np.zeros((n, n))
-    A[np.triu_indices(n, 1)] = upper
-    A = A + A.T
-    A[np.diag_indices(n)] = -A.sum(axis=1) + extra
-    return CsrMatrix.from_dense(A)
 
 
 @settings(max_examples=80, deadline=None)
