@@ -207,12 +207,27 @@ def _local_maxima(v):
 def optimize_beta(k, grid_size=20001, max_rounds=60):
     """Grid minimax for the optimized fourth-kind coefficient table.
 
-    The objective max_x x p(x)^2/(1-p(x)^2) is convex in beta (p is linear
-    in beta and p^2/(1-p^2) is convex on |p| < 1), and the level set
-    {max <= t} is exactly the linear feasibility region
-    |p(x)| <= sqrt(t/(t+x)) on the grid.  Bisection on t with an LP
-    feasibility check per level therefore converges to the grid optimum;
-    ``max_rounds`` caps the bisection steps.
+    The objective F(beta) = max_x x p(x)^2/(1-p(x)^2) is convex in beta (p
+    is linear in beta and p^2/(1-p^2) is convex on |p| < 1), and the level
+    set {F <= t} is exactly the linear feasibility region
+    |p(x)| <= sqrt(t/(t+x)) on the grid.  A search on t with an LP
+    feasibility check per level therefore converges to the grid optimum t*.
+
+    The bracket [lo, hi] on t* closes from both ends.  Every LP returns a
+    table beta_W, feasible or not, and F(beta_W) >= t* on the thinned grid,
+    so hi drops to F(beta_W) whenever that is lower, and beta follows it.  A
+    feasible level t sets hi = min(F(beta_W), t) and beta = beta_W: beta_W
+    meets the constraints of level t only to the margin below, which near
+    x = 0 can leave F(beta_W) above t by up to about 5e-5 relative (k = 1),
+    so the table returned is the last feasible level's, as in a plain
+    bisection.  lo starts at 0 and moves only to a level proven infeasible
+    (s_W > 1e-12, below).  The next level is hi - (hi - lo)/4, because hi
+    soon sits much closer to t* than lo does; after a level that did not
+    halve the bracket it is the midpoint, which always does.  The search
+    stops when hi - lo <= 1e-7 hi.  ``max_rounds`` caps the number of
+    levels; a bracket still open after it raises RuntimeError, as does an
+    LP that HiGHS fails to solve (the slack LP is always feasible and
+    bounded, so a failure is numerical).
 
     Each level's LP (minimize a shared slack s subject to
     |p(x)| <= bound(x) + s) runs on a working set W of thinned-grid points,
@@ -235,7 +250,7 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
 
     full_grid = np.logspace(-8.0, 0.0, grid_size)
     full_base, full_basis = _beta_basis(k, full_grid)
-    # Bisection runs on a thinned constraint grid; the attained value is
+    # The search runs on a thinned constraint grid; the attained value is
     # always reported on the full grid.
     grid = np.logspace(-8.0, 0.0, min(grid_size, 6001))
     base, basis = _beta_basis(k, grid)
@@ -250,7 +265,7 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
         peaks[_local_maxima(v)] = 1.0
         return np.convolve(peaks, np.ones(11), mode="same") > 0.5
 
-    beta = np.ones(k)  # plain 4th-kind table, feasible at hi
+    beta = np.ones(k)  # plain 4th-kind table: its F is the first upper bound
     hi = _beta_objective(grid, base, basis, beta)
     in_w = np.zeros(grid.size, dtype=bool)
     in_w[::100] = True
@@ -259,43 +274,52 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
 
     # p(x) rows of W: A_ub beta <= b_ub encodes +-p(x) <= bound(x) with a
     # shared slack variable minimized by the LP.
-    def feasible(t):
-        while True:
-            idx = np.flatnonzero(in_w)
-            bound = np.sqrt(t / (t + grid[idx]))
-            rows = basis[:, idx].T
-            A = np.hstack([np.concatenate([rows, -rows]), -np.ones((2 * idx.size, 1))])
-            b = np.concatenate([bound - base[idx], bound + base[idx]])
-            res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * (k + 1),
-                          method="highs")
-            if not res.success:
-                return False, None
-            beta_w, slack = res.x[:k], res.x[-1]
-            v = violation(beta_w, t)
-            over = (v > slack + 1e-9) & ~in_w
-            if over.any():
-                add = over & near_peaks(v)
-                if not add.any():  # keeps every re-solve adding a point
-                    add[np.argmax(np.where(over, v, -np.inf))] = True
-                in_w[add] = True
-            if slack > 1e-12:
-                return False, None
-            if not over.any():
-                return True, beta_w
+    def solve_on_w(t):
+        idx = np.flatnonzero(in_w)
+        bound = np.sqrt(t / (t + grid[idx]))
+        rows = basis[:, idx].T
+        A = np.hstack([np.concatenate([rows, -rows]), -np.ones((2 * idx.size, 1))])
+        b = np.concatenate([bound - base[idx], bound + base[idx]])
+        res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * (k + 1),
+                      method="highs")
+        if not res.success:
+            raise RuntimeError(
+                f"optimize_beta({k}): HiGHS failed on the slack LP at t={t:.17g} "
+                f"(status {res.status}): {res.message}"
+            )
+        beta_w, slack = res.x[:k], res.x[-1]
+        v = violation(beta_w, t)
+        over = (v > slack + 1e-9) & ~in_w
+        if over.any():
+            add = over & near_peaks(v)
+            if not add.any():  # keeps every re-solve adding a point
+                add[np.argmax(np.where(over, v, -np.inf))] = True
+            in_w[add] = True
+        return beta_w, slack, over.any()
 
-    lo = 0.25 * hi
-    ok, candidate = feasible(lo)
-    while ok:
-        hi, lo, beta = lo, 0.5 * lo, candidate
-        ok, candidate = feasible(lo)
+    lo = 0.0
+    halve = False
     rounds = 0
-    while hi - lo > 1e-7 * hi and rounds < max_rounds:
-        mid = 0.5 * (lo + hi)
-        ok, candidate = feasible(mid)
-        if ok:
-            hi, beta = mid, candidate
-        else:
-            lo = mid
+    while hi - lo > 1e-7 * hi:
+        if rounds == max_rounds:
+            raise RuntimeError(
+                f"optimize_beta({k}): bracket [{lo:.17g}, {hi:.17g}] still open "
+                f"after max_rounds={max_rounds} levels"
+            )
+        width = hi - lo
+        t = hi - (0.5 if halve else 0.25) * width
+        while True:
+            beta_w, slack, over = solve_on_w(t)
+            f = _beta_objective(grid, base, basis, beta_w)
+            if slack <= 1e-12 and not over:  # t is feasible
+                hi, beta = min(f, t), beta_w
+                break
+            if f < hi:
+                hi, beta = f, beta_w
+            if slack > 1e-12:  # t is infeasible
+                lo = t
+                break
+        halve = hi - lo > 0.5 * width
         rounds += 1
     gamma = _beta_objective(full_grid, full_base, full_basis, beta)
     return BetaTable(k=k, beta=np.asarray(beta), gamma_value=gamma)

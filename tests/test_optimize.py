@@ -235,8 +235,8 @@ class TestWorkingSet:
         assert bt.gamma_value == pytest.approx(gamma, rel=1e-5)
         assert bt.beta == pytest.approx(beta, rel=1e-5)
 
-    @pytest.mark.parametrize("k", [4, 8, 12])
-    def test_lp_budget(self, k, monkeypatch):
+    @pytest.mark.parametrize("k,budget", [(4, 15), (8, 13), (12, 11)])
+    def test_lp_budget(self, k, budget, monkeypatch):
         widths = []
         linprog = scipy.optimize.linprog
 
@@ -246,8 +246,28 @@ class TestWorkingSet:
 
         monkeypatch.setattr(scipy.optimize, "linprog", counting)
         optimize_beta(k)
-        assert 0 < len(widths) <= 26
+        assert 0 < len(widths) <= budget
         assert set(widths) == {k + 1}
+
+    def test_lp_failure_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                success=False, status=4, message="numerical difficulties", x=None
+            )
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        with pytest.raises(RuntimeError, match="status 4.*numerical difficulties"):
+            optimize_beta(4)
+
+    def test_open_bracket_raises(self):
+        with pytest.raises(RuntimeError, match="still open"):
+            optimize_beta(4, max_rounds=1)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_bracket_closes_before_max_rounds(self, k):
+        # the search takes at most 20 levels (k = 1); the default cap of 60
+        # must never be what ends it
+        optimize_beta(k, max_rounds=30)
 
 
 class TestDataAssets:
