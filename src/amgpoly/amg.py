@@ -6,12 +6,13 @@ step P = (I - omega D^-1 A) P_hat with omega = 4/(3 lambda_max).
 
 Smoothed aggregation builds the strength graph once per level: the mask
 |a_ij| >= theta sqrt(|a_ii a_jj|), j != i, evaluated with numpy over the CSR
-arrays and handed to the greedy passes as plain Python lists.  Seeding walks
-the rows in natural order; a leftover row joins its strongest aggregated
-neighbor, the first in column order on a tie.  Matching orders the edges
-with one ``np.lexsort`` by decreasing weight, then lower row, then lower
-column, matches greedily over plain lists and numbers each pair by its lower
-index.  These tie-breaks make hierarchies identical across runs.
+arrays and handed to the greedy passes as plain Python lists, except the
+|a_ij| weights, which stay a numpy array read only for the leftover rows.
+Seeding walks the rows in natural order; a leftover row joins its strongest
+aggregated neighbor, the first in column order on a tie.  Matching orders the
+edges with one ``np.lexsort`` by decreasing weight, then lower row, then
+lower column, matches greedily over plain lists and numbers each pair by its
+lower index.  These tie-breaks make hierarchies identical across runs.
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ def strength_graph(A, theta):
     """Strong off-diagonal couplings of each row, in column order.
 
     Entry (i, j) is strong when j != i and |a_ij| >= theta sqrt(|a_ii a_jj|),
-    evaluated once over the CSR arrays.  Returns plain Python lists
-    ``(ptr, cols, weights)``: row i's strong columns are
-    ``cols[ptr[i]:ptr[i+1]]`` and their |a_ij| the same slice of ``weights``.
+    evaluated once over the CSR arrays.  Returns ``(ptr, cols, weights)``:
+    row i's strong columns are ``cols[ptr[i]:ptr[i+1]]`` and their |a_ij| the
+    same slice of ``weights``.  ``ptr`` and ``cols`` are plain Python lists,
+    walked by both greedy passes; ``weights`` stays a numpy array, because
+    only the few rows left for the leftover pass read it.
     """
     n = A.nrows
     rows = np.repeat(np.arange(n), np.diff(A.row_ptr))
@@ -124,7 +127,7 @@ def strength_graph(A, theta):
     strong = (cols != rows) & (absv >= theta * np.sqrt(np.abs(diag[rows] * diag[cols])))
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[strong], minlength=n), out=ptr[1:])
-    return ptr.tolist(), cols[strong].tolist(), absv[strong].tolist()
+    return ptr.tolist(), cols[strong].tolist(), absv[strong]
 
 
 def sa_aggregate(A, theta=0.01):
@@ -156,10 +159,11 @@ def sa_aggregate(A, theta=0.01):
         if agg[i] >= 0:
             continue
         best, best_w = -1, -1.0
-        for k in range(ptr[i], ptr[i + 1]):
-            a = agg[cols[k]]
-            if a >= 0 and weights[k] > best_w:
-                best, best_w = a, weights[k]
+        lo, hi = ptr[i], ptr[i + 1]
+        for j, w in zip(cols[lo:hi], weights[lo:hi].tolist()):
+            a = agg[j]
+            if a >= 0 and w > best_w:
+                best, best_w = a, w
         if best >= 0:
             agg[i] = best
         else:
@@ -180,7 +184,7 @@ def matching_aggregate(A, sweeps=3):
     n0 = A.nrows
     agg = np.arange(n0, dtype=np.int64)  # fine row -> current coarse index
     cur = A.to_scipy()
-    for _ in range(sweeps):
+    for sweep in range(sweeps):
         n = cur.shape[0]
         coo = scipy.sparse.triu(cur, k=1).tocoo()
         diag = cur.diagonal()
@@ -200,10 +204,10 @@ def matching_aggregate(A, sweeps=3):
         new_idx = (np.cumsum(is_rep) - 1)[rep]
         nc = int(np.count_nonzero(is_rep))
         agg = new_idx[agg]
-        Pc = _aggregates_to_prolongator(n, new_idx, nc)
-        cur = Pc.to_scipy().T @ cur @ Pc.to_scipy()
-        if nc == n:
-            break
+        if nc == n or sweep == sweeps - 1:
+            break  # no further sweep reads the coarsened graph
+        Pc = _aggregates_to_prolongator(n, new_idx, nc).to_scipy()
+        cur = Pc.T @ cur @ Pc
     return _aggregates_to_prolongator(n0, agg, int(agg.max()) + 1)
 
 

@@ -218,16 +218,19 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
     so hi drops to F(beta_W) whenever that is lower, and beta follows it.  A
     feasible level t sets hi = min(F(beta_W), t) and beta = beta_W: beta_W
     meets the constraints of level t only to the margin below, which near
-    x = 0 can leave F(beta_W) above t by up to about 5e-5 relative (k = 1),
-    so the table returned is the last feasible level's, as in a plain
-    bisection.  lo starts at 0 and moves only to a level proven infeasible
+    x = 0 can leave F(beta_W) above t by up to about 5e-5 relative (k = 1).
+    The table returned is the one that last lowered hi: a feasible level's,
+    or an LP table of lower F found after it (fitting the shipped tables,
+    no level of k = 5..8 or 10..12 is feasible before the bracket closes).
+    lo starts at 0 and moves only to a level proven infeasible
     (s_W > 1e-12, below).  The next level is hi - (hi - lo)/4, because hi
     soon sits much closer to t* than lo does; after a level that did not
     halve the bracket it is the midpoint, which always does.  The search
-    stops when hi - lo <= 1e-7 hi.  ``max_rounds`` caps the number of
-    levels; a bracket still open after it raises RuntimeError, as does an
-    LP that HiGHS fails to solve (the slack LP is always feasible and
-    bounded, so a failure is numerical).
+    stops when hi - lo <= 1e-5 hi, the resolution at which the thresholds
+    below decide a level.  ``max_rounds`` caps the number of levels; a
+    bracket still open after it raises RuntimeError, as does an LP that
+    HiGHS fails to solve (the slack LP is always feasible and bounded, so a
+    failure is numerical).
 
     Each level's LP (minimize a shared slack s subject to
     |p(x)| <= bound(x) + s) runs on a working set W of thinned-grid points,
@@ -243,6 +246,17 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
     margin that lie within 5 grid points of a local maximum of v join W, and
     a level feasible on W but not on the grid re-solves.  Every re-solve
     adds at least one point, so the worst case is the full-grid LP.
+
+    These two thresholds set the stop.  Near t* the slack s_W falls by only
+    1.7e-8 (k = 1) to 1.6e-6 (k = 12) per unit relative change of t, so a
+    level decided by the 1e-12 slack threshold lies below the zero-slack
+    level by 1e-12 / slope, 6e-7 (k = 12) to 6e-5 (k = 1) relative.  A table
+    accepted at level t meets its constraints only to that threshold on W
+    and to the 1e-9 margin off it, and its F exceeds t by the same 8e-7 to
+    5e-5.  Bisecting below a 1e-5 relative bracket therefore locates where
+    s_W crosses 1e-12, not t*: below it every LP ends with a slack under
+    1e-11 (k = 4: between 1.6e-13 and 1.1e-12), at the scale of the
+    threshold itself.
     """
     if not 1 <= k <= 12:
         raise ValueError("beta tables supported for 1 <= k <= 12")
@@ -300,7 +314,7 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
     lo = 0.0
     halve = False
     rounds = 0
-    while hi - lo > 1e-7 * hi:
+    while hi - lo > 1e-5 * hi:
         if rounds == max_rounds:
             raise RuntimeError(
                 f"optimize_beta({k}): bracket [{lo:.17g}, {hi:.17g}] still open "
