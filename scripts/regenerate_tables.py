@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped parameter data assets.
+"""Regenerate the shipped fourth-kind coefficient tables.
 
-Writes src/amgpoly/data/optimal_params.csv (k = 1..20) and
-src/amgpoly/data/beta_tables.csv (k = 1..12).  The test suite re-solves a
-sample of degrees and compares against these files, so run this after any
-change to the optimization code.
+Writes src/amgpoly/data/beta_tables.csv (k = 1..12).  The test suite
+re-solves a sample of degrees and compares against this file, so run this
+after any change to the optimization code.
 """
 
 import csv
@@ -13,24 +12,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from amgpoly.optimize import compute_optimal_params, optimize_beta  # noqa: E402
+from amgpoly.optimize import optimize_beta  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "amgpoly" / "data"
 
 
 def main():
     DATA.mkdir(parents=True, exist_ok=True)
-    with open(DATA / "optimal_params.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "a_star", "lambda_k", "a_lower", "a_upper", "lam_lower", "lam_upper"])
-        for k in range(1, 21):
-            rec = compute_optimal_params(k)
-            w.writerow(
-                [k] + [f"{v:.17g}" for v in (rec.a_star, rec.lambda_k, rec.a_lower,
-                                             rec.a_upper, rec.lam_lower, rec.lam_upper)]
-            )
-    print("wrote optimal_params.csv")
-
     with open(DATA / "beta_tables.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "gamma_value", "beta"])

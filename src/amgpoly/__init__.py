@@ -43,7 +43,6 @@ from .optimize import (
     gamma_cheb4,
     lambda_of,
     load_beta_tables,
-    load_params_table,
     optimal_a,
     optimize_beta,
     phi,
@@ -53,7 +52,6 @@ from .optimize import (
 from .problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
 from .smoothers import (
     FAMILIES,
-    L1JacobiData,
     PolySmootherConfig,
     as_preconditioner,
     error_polynomial_coeffs,

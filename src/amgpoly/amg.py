@@ -26,7 +26,6 @@ import scipy.sparse
 
 from .optimize import evaluate_gamma_numeric
 from .smoothers import (
-    L1JacobiData,
     PolySmootherConfig,
     error_polynomial_coeffs,
     l1_jacobi_diag,
@@ -54,7 +53,7 @@ class CoarseningConfig:
 @dataclass
 class Level:
     A: CsrMatrix
-    M: L1JacobiData
+    M: np.ndarray  # l1-Jacobi diagonal
     smoother: PolySmootherConfig
     P: CsrMatrix | None = None  # prolongator from the next-coarser level
     R: CsrMatrix | None = None  # restriction P^T to the next-coarser level
@@ -391,7 +390,7 @@ def two_level_constants(A, P, M, smoother):
     # largest eigenvalue of M^1/2 (T A T) M^1/2 with M the l1-Jacobi diagonal.
     # This weighting is the one under which the smoothing constant gamma of
     # M^-1 A closes the C/(C + 1/gamma) argument.
-    bs = np.sqrt(M.m_diag)
+    bs = np.sqrt(M)
     S = (T @ Ad @ T) * np.outer(bs, bs)
     S = (S + S.T) * 0.5
     C = float(np.max(dense_sym_eig(S)[0]))

@@ -22,8 +22,8 @@ class KrylovConfig:
     def __post_init__(self):
         if self.variant not in ("pcg", "fcg"):
             raise ValueError(f"unknown Krylov variant {self.variant!r}")
-        if self.tol <= 0.0 or self.itmax < 1:
-            raise ValueError("tol must be positive and itmax >= 1")
+        if not 0.0 < self.tol < math.inf or self.itmax < 1:  # NaN fails too
+            raise ValueError("tol must be finite and positive and itmax >= 1")
 
 
 @dataclass

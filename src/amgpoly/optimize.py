@@ -3,13 +3,15 @@
 Solves for the optimal left endpoint a*_k of the scaled first-kind family,
 evaluates the attained smoothing constant Lambda_k, checks the analytic
 sandwich bounds, and numerically optimizes the fourth-kind coefficient
-tables beta_{j,k}.  Results for k = 1..20 ship as a CSV data asset
-(regenerated by scripts/regenerate_tables.py).
+tables beta_{j,k}.  a*_k is solved on first use (about 50 us per degree);
+the beta tables for k = 1..12 ship as a CSV data asset (regenerated by
+scripts/regenerate_tables.py).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -339,7 +341,7 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
     return BetaTable(k=k, beta=np.asarray(beta), gamma_value=gamma)
 
 
-# -- parameter table asset --------------------------------------------------
+# -- parameter tables -------------------------------------------------------
 
 
 def compute_optimal_params(k):
@@ -350,50 +352,21 @@ def compute_optimal_params(k):
     return rec
 
 
-_PARAMS_CACHE = None
-_BETA_CACHE = None
-
-
-def load_params_table():
-    """Precomputed OptimalParams for k = 1..20 from the package data asset."""
-    global _PARAMS_CACHE
-    if _PARAMS_CACHE is None:
-        text = resources.files("amgpoly.data").joinpath("optimal_params.csv").read_text()
-        table = {}
-        for row in csv.DictReader(io.StringIO(text)):
-            k = int(row["k"])
-            table[k] = OptimalParams(
-                k=k,
-                a_star=float(row["a_star"]),
-                lambda_k=float(row["lambda_k"]),
-                a_lower=float(row["a_lower"]),
-                a_upper=float(row["a_upper"]),
-                lam_lower=float(row["lam_lower"]),
-                lam_upper=float(row["lam_upper"]),
-            )
-        _PARAMS_CACHE = table
-    return _PARAMS_CACHE
-
-
+@functools.cache
 def load_beta_tables():
     """Precomputed BetaTable records keyed by degree."""
-    global _BETA_CACHE
-    if _BETA_CACHE is None:
-        text = resources.files("amgpoly.data").joinpath("beta_tables.csv").read_text()
-        table = {}
-        for row in csv.DictReader(io.StringIO(text)):
-            k = int(row["k"])
-            beta = np.array([float(v) for v in row["beta"].split()])
-            table[k] = BetaTable(k=k, beta=beta, gamma_value=float(row["gamma_value"]))
-        _BETA_CACHE = table
-    return _BETA_CACHE
+    text = resources.files("amgpoly.data").joinpath("beta_tables.csv").read_text()
+    table = {}
+    for row in csv.DictReader(io.StringIO(text)):
+        k = int(row["k"])
+        beta = np.array([float(v) for v in row["beta"].split()])
+        table[k] = BetaTable(k=k, beta=beta, gamma_value=float(row["gamma_value"]))
+    return table
 
 
+@functools.cache
 def optimal_a(k):
-    """a*_k from the shipped table when available, else solved on demand."""
-    table = load_params_table()
-    if k in table:
-        return table[k].a_star
+    """a*_k, solved once per degree by ``solve_a_star``."""
     return solve_a_star(k)
 
 

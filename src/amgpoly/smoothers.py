@@ -42,18 +42,12 @@ from .sparse import CsrMatrix
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
 
 
-@dataclass
-class L1JacobiData:
-    """Per-row diagonal M_i = a_ii + sum_{j != i} |a_ij|."""
-
-    m_diag: np.ndarray
-
-
 def l1_jacobi_diag(A):
     """l1-Jacobi diagonal of a square matrix with positive diagonal.
 
-    Reads the scipy CSR storage of a ``CsrMatrix`` and the dense array of any
-    other operator (``SpectralOperator``); one formula serves both.
+    Returns the array M_i = a_ii + sum_{j != i} |a_ij|.  Reads the scipy CSR
+    storage of a ``CsrMatrix`` and the dense array of any other operator
+    (``SpectralOperator``); one formula serves both.
     """
     if A.nrows != A.ncols:
         raise ValueError("matrix must be square")
@@ -61,7 +55,7 @@ def l1_jacobi_diag(A):
     d = S.diagonal()
     if np.any(d <= 0.0):
         raise ValueError("non-positive diagonal entry")
-    return L1JacobiData(m_diag=np.asarray(abs(S).sum(axis=1)).ravel() - np.abs(d) + d)
+    return np.asarray(abs(S).sum(axis=1)).ravel() - np.abs(d) + d
 
 
 @dataclass(frozen=True)
@@ -133,13 +127,12 @@ def smoother_apply(config, A, M, b, x0=None):
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     if len(x) != n or n != A.nrows:
         raise ValueError("dimension mismatch")
-    m = M.m_diag
     r = b.copy() if x0 is None else b - A.matvec(x)
     d = np.zeros(n)
     s = np.empty(n)  # scratch for e_j M^-1 r, then w_j d
     for j, (c, e, w) in enumerate(config.steps, 1):
         d *= c
-        np.divide(r, m, out=s)
+        np.divide(r, M, out=s)
         if e != 1.0:  # a product with 1.0 is exact: skipping it changes no bit
             s *= e
         d += s
@@ -179,10 +172,9 @@ def smoother_error_oracle(A, M, config, e0):
     Brute-force reference for smoother_apply; desk-scale sizes only.
     """
     coef = error_polynomial_coeffs(config)
-    m = M.m_diag
     out = coef[-1] * np.asarray(e0, dtype=np.float64)
     for c in coef[-2::-1]:
-        out = A.matvec(out) / m
+        out = A.matvec(out) / M
         out += c * e0
     return out
 

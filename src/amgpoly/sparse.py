@@ -1,14 +1,16 @@
 """Sparse CSR storage and the small dense toolbox used by the oracle paths.
 
-The CSR kernels here are the only place the rest of the library touches
-matrix storage: everything else (smoothers, AMG setup, Krylov) goes through
-``spmv`` so that floating-point evaluation order is fixed and run-to-run
-deterministic.
+``CsrMatrix`` is one scipy CSR matrix with checked structure: sorted,
+duplicate-free columns.  Every operator application of the solve phase
+(smoothers, V-cycle, Krylov) goes through ``spmv``, which counts it.  The
+setup kernels (``amg``, ``smoothers.l1_jacobi_diag``) read the scipy matrix
+through ``to_scipy``; they and the generators (``problems``) hand the
+matrices they build to ``from_scipy`` or ``from_coo``.  Every kernel reads
+the same arrays in scipy's fixed evaluation order, so results are
+run-to-run deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io
@@ -33,38 +35,38 @@ def reset_spmv_count():
     _spmv_calls = 0
 
 
-@dataclass
 class CsrMatrix:
-    """Compressed sparse row matrix with sorted, duplicate-free columns."""
+    """Compressed sparse row matrix with sorted, duplicate-free columns.
 
-    nrows: int
-    ncols: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-    _scipy: scipy.sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+    A checked wrapper around one ``scipy.sparse.csr_matrix``, built in the
+    constructor once the arrays pass the structural checks.  ``row_ptr``,
+    ``col_idx`` and ``values`` are its ``indptr``, ``indices`` and ``data``
+    (scipy picks the index dtype), and ``to_scipy()`` returns it; there is
+    no second copy of any array.
+    """
 
-    def __post_init__(self):
-        self.row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
-        self.col_idx = np.asarray(self.col_idx, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.row_ptr.shape != (self.nrows + 1,):
+    def __init__(self, nrows, ncols, row_ptr, col_idx, values):
+        row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
+        values = np.asarray(values, dtype=np.float64)
+        nnz = len(values)
+        if row_ptr.shape != (nrows + 1,):
             raise ValueError("row_ptr must have length nrows+1")
-        if self.row_ptr[0] != 0 or self.row_ptr[-1] != len(self.values):
+        if row_ptr[0] != 0 or row_ptr[-1] != nnz:
             raise ValueError("row_ptr endpoints inconsistent with values")
-        if np.any(np.diff(self.row_ptr) < 0):
+        if np.any(np.diff(row_ptr) < 0):
             raise ValueError("row_ptr must be nondecreasing")
-        if len(self.col_idx) != len(self.values):
+        if len(col_idx) != nnz:
             raise ValueError("col_idx and values length mismatch")
-        if self.nnz:
-            if self.col_idx.min() < 0 or self.col_idx.max() >= self.ncols:
+        if nnz:
+            if col_idx.min() < 0 or col_idx.max() >= ncols:
                 raise ValueError("col_idx must lie in [0, ncols)")
-            increasing = np.diff(self.col_idx) > 0
+            increasing = np.diff(col_idx) > 0
             # the step into the first entry of a row may go down
-            starts = self.row_ptr[1:-1]
-            increasing[starts[(starts > 0) & (starts < self.nnz)] - 1] = True
+            starts = row_ptr[1:-1]
+            increasing[starts[(starts > 0) & (starts < nnz)] - 1] = True
             if not increasing.all():
                 raise ValueError("col_idx must be strictly increasing within each row")
+        self._m = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(nrows, ncols))
 
     # -- constructors -------------------------------------------------------
 
@@ -81,7 +83,8 @@ class CsrMatrix:
 
     @classmethod
     def from_scipy(cls, m):
-        m = m.tocsr().copy()
+        """Canonical copy of any scipy sparse matrix; ``m`` is left as it was."""
+        m = m.tocsr(copy=True)
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
@@ -97,12 +100,32 @@ class CsrMatrix:
 
     # -- views --------------------------------------------------------------
 
+    @property
+    def nrows(self):
+        return self._m.shape[0]
+
+    @property
+    def ncols(self):
+        return self._m.shape[1]
+
+    @property
+    def row_ptr(self):
+        return self._m.indptr
+
+    @property
+    def col_idx(self):
+        return self._m.indices
+
+    @property
+    def values(self):
+        return self._m.data
+
+    @property
+    def nnz(self):
+        return len(self._m.data)
+
     def to_scipy(self):
-        if self._scipy is None:
-            self._scipy = scipy.sparse.csr_matrix(
-                (self.values, self.col_idx, self.row_ptr), shape=(self.nrows, self.ncols)
-            )
-        return self._scipy
+        return self._m
 
     def to_dense(self):
         return self.to_scipy().toarray()
@@ -112,10 +135,6 @@ class CsrMatrix:
 
     def diagonal(self):
         return self.to_scipy().diagonal()
-
-    @property
-    def nnz(self):
-        return len(self.values)
 
     def matvec(self, x):
         return spmv(self, x)

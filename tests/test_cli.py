@@ -111,6 +111,10 @@ class TestExitCodes:
         assert main(args) == EXIT_CONFIG
         assert "unknown coarse solver 'bogus'" in capsys.readouterr().err
 
+    def test_nan_tol_is_2(self, capsys):
+        assert main(["solve", "--override", "m=6", "--override", "tol=nan"]) == EXIT_CONFIG
+        assert "tol must be finite and positive" in capsys.readouterr().err
+
     def test_bad_kmax_is_2(self, capsys):
         assert main(["optimize", "--kmax", "99"]) == EXIT_CONFIG
 
@@ -286,6 +290,8 @@ class TestSpectrumGridCommand:
         ["--sizes", "16,x", "--degrees", "1"],
         ["--sizes", "16", "--degrees", "1", "--itmax", "0"],
         ["--sizes", "16", "--degrees", "1", "--tol", "0"],
+        ["--sizes", "16", "--degrees", "1", "--tol", "nan"],
+        ["--sizes", "16", "--degrees", "1", "--tol", "inf"],
     ])
     def test_bad_values_are_config_errors(self, extra, capsys):
         assert main(["spectrum-grid"] + extra) == EXIT_CONFIG

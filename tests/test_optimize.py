@@ -11,12 +11,10 @@ from amgpoly.optimize import (
     _beta_basis,
     _beta_objective,
     brent_root,
-    compute_optimal_params,
     evaluate_gamma_numeric,
     gamma_cheb4,
     lambda_of,
     load_beta_tables,
-    load_params_table,
     optimal_a,
     optimize_beta,
     params_csv_rows,
@@ -271,14 +269,6 @@ class TestWorkingSet:
 
 
 class TestDataAssets:
-    def test_params_table_matches_recompute(self):
-        table = load_params_table()
-        assert set(table) == set(range(1, 21))
-        for k in (1, 5, 12, 20):
-            rec = compute_optimal_params(k)
-            assert table[k].a_star == pytest.approx(rec.a_star, abs=1e-14)
-            assert table[k].lambda_k == pytest.approx(rec.lambda_k, rel=1e-12)
-
     def test_beta_tables_shape(self):
         tables = load_beta_tables()
         assert set(tables) == set(range(1, 13))
@@ -292,8 +282,10 @@ class TestDataAssets:
             bt.gamma_value, rel=1e-4
         )
 
-    def test_optimal_a_reads_table(self):
+    def test_optimal_a_is_solve_a_star(self):
         assert optimal_a(4) == pytest.approx(A_STAR_REFERENCE[4], abs=1e-12)
+        for k in range(1, 21):
+            assert optimal_a(k) == solve_a_star(k)
 
     def test_csv_rows_schema(self):
         rows = params_csv_rows(3)

@@ -26,16 +26,16 @@ from conftest import random_spd, tridiag
 class TestL1Diag:
     def test_diagonal_matrix(self):
         A = CsrMatrix.from_dense(np.diag([2.0, 5.0, 1.0]))
-        assert np.array_equal(l1_jacobi_diag(A).m_diag, [2.0, 5.0, 1.0])
+        assert np.array_equal(l1_jacobi_diag(A), [2.0, 5.0, 1.0])
 
     def test_tridiag_interior(self):
-        m = l1_jacobi_diag(tridiag(5)).m_diag
+        m = l1_jacobi_diag(tridiag(5))
         assert m[2] == 4.0  # 2 + |-1| + |-1|
         assert m[0] == 3.0
 
     def test_poisson3d_interior(self):
         A, _ = poisson3d(4)
-        m = l1_jacobi_diag(A).m_diag
+        m = l1_jacobi_diag(A)
         # node (1,1,1) has all six neighbors
         assert m[1 + 4 + 16] == 12.0
 
@@ -49,7 +49,7 @@ class TestL1Diag:
         D = op.to_dense()
         d = np.diag(D)
         expected = np.abs(D).sum(axis=1) - np.abs(d) + d
-        assert l1_jacobi_diag(op).m_diag.tobytes() == expected.tobytes()
+        assert l1_jacobi_diag(op).tobytes() == expected.tobytes()
 
     def test_spectral_operator_negative_eigenvalues_rejected(self):
         with pytest.raises(ValueError, match="non-positive diagonal"):
@@ -57,7 +57,7 @@ class TestL1Diag:
 
     def test_spectrum_of_scaled_operator_in_unit_interval(self):
         A = random_spd(30, seed=5)
-        m = l1_jacobi_diag(A).m_diag
+        m = l1_jacobi_diag(A)
         s = 1.0 / np.sqrt(m)
         w = np.linalg.eigvalsh(A.to_dense() * np.outer(s, s))
         assert np.all(w > 0.0)
@@ -103,9 +103,7 @@ class TestSmootherApply:
     def test_cheb4_degree1_closed_form(self):
         # M = A makes the scaled operator the identity: p_1(1) = -1/3
         A = CsrMatrix.from_dense(np.diag([2.0, 3.0]))
-        from amgpoly.smoothers import L1JacobiData
-
-        M = L1JacobiData(m_diag=np.array([2.0, 3.0]))
+        M = np.array([2.0, 3.0])
         e0 = np.array([1.0, -2.0])
         cfg = PolySmootherConfig(family="cheb4", degree=1)
         out = smoother_error_apply(cfg, A, M, e0)
@@ -115,9 +113,7 @@ class TestSmootherApply:
     def test_opt_cheb1_diagonal_decoupling(self, k):
         lam = np.array([0.05, 0.2, 0.5, 0.9, 1.0])
         A = CsrMatrix.from_dense(np.diag(lam))
-        from amgpoly.smoothers import L1JacobiData
-
-        M = L1JacobiData(m_diag=np.ones(5))
+        M = np.ones(5)
         a = 0.1
         cfg = PolySmootherConfig(family="opt_cheb1", degree=k, a=a)
         e0 = np.array([1.0, -1.0, 2.0, 0.5, -0.25])
@@ -197,7 +193,7 @@ class TestZeroGuess:
         b = np.random.default_rng(k).standard_normal(A.nrows)
         x, d, r = np.zeros_like(b), np.zeros_like(b), b - A.matvec(np.zeros_like(b))
         for j, (c, e, w) in enumerate(step_coefficients(cfg), 1):
-            d = c * d + e * (r / M.m_diag)
+            d = c * d + e * (r / M)
             x = x + w * d
             if j < k:
                 r = r - A.matvec(d)

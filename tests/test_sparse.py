@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,15 @@ class TestCsrMatrix:
         with pytest.raises(ValueError):
             CsrMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("row_ptr, match", [
+        ([1, 1, 2, 2], "endpoints"),
+        ([0, 1, 1, 1], "endpoints"),  # scipy alone would drop the last entry
+        ([0, 2, 1, 2], "nondecreasing"),
+    ])
+    def test_inconsistent_row_ptr_rejected(self, row_ptr, match):
+        with pytest.raises(ValueError, match=match):
+            CsrMatrix(3, 3, np.array(row_ptr), np.array([0, 1]), np.ones(2))
+
     @pytest.mark.parametrize("col", [-1, 3])
     def test_column_out_of_range_rejected(self, col):
         with pytest.raises(ValueError, match="ncols"):
@@ -48,6 +58,21 @@ class TestCsrMatrix:
     def test_columns_restart_at_each_row(self):
         A = CsrMatrix(3, 3, np.array([0, 2, 2, 4]), np.array([1, 2, 0, 2]), np.ones(4))
         assert A.nnz == 4
+
+    def test_arrays_are_the_scipy_matrix(self):
+        A = tridiag(5)
+        sp = A.to_scipy()
+        assert A.to_scipy() is sp
+        assert np.shares_memory(A.row_ptr, sp.indptr)
+        assert np.shares_memory(A.col_idx, sp.indices)
+        assert np.shares_memory(A.values, sp.data)
+
+    def test_from_scipy_does_not_alias_its_input(self):
+        m = scipy.sparse.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        A = CsrMatrix.from_scipy(m)
+        m.data[:] = 7.0
+        m.indices[:] = 0
+        assert np.array_equal(A.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_transpose_symmetry_check(self):
         A = tridiag(5)
