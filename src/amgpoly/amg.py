@@ -9,10 +9,20 @@ Smoothed aggregation builds the strength graph once per level: the mask
 arrays and handed to the greedy passes as plain Python lists, except the
 |a_ij| weights, which stay a numpy array read only for the leftover rows.
 Seeding walks the rows in natural order; a leftover row joins its strongest
-aggregated neighbor, the first in column order on a tie.  Matching orders the
-edges with one ``np.lexsort`` by decreasing weight, then lower row, then
-lower column, matches greedily over plain lists and numbers each pair by its
-lower index.  These tie-breaks make hierarchies identical across runs.
+aggregated neighbor, the first in column order on a tie.  Matching visits
+the edges by decreasing weight, then lower row, then lower column, and
+numbers each pair by its lower index.  These tie-breaks make hierarchies
+identical across runs.
+
+Matching is exact greedy matching with less work per edge.  The upper
+triangle comes from the CSR arrays (``indices > row``), already in (row,
+col) order, so one stable ``argsort`` of -w gives the visiting order.  The
+ordered edges are walked in blocks of ``max(n, 1024)``; before each block,
+numpy drops the edges with an endpoint matched in an earlier block, which
+the greedy loop would skip anyway, and only the live edges reach the Python
+loop.  Between sweeps the graph is contracted as ``(Pc^T @ cur) @ Pc``,
+all in CSR.  A pair has at most two rows, so each product sums at most two
+terms per entry, and such a sum does not depend on the order of its terms.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ import scipy.sparse
 from .optimize import evaluate_gamma_numeric
 from .smoothers import (
     PolySmootherConfig,
+    _smooth_steps,
     error_polynomial_coeffs,
     l1_jacobi_diag,
     smoother_apply,
@@ -179,25 +190,38 @@ def matching_aggregate(A, sweeps=3):
     decreasing weight, ties broken by the lower row and then the lower
     column; each pair is numbered by its lower index.  Each sweep halves the
     graph at most; aggregate sizes stay <= 2^sweeps.
+
+    Only the edges left live by earlier blocks of the order reach the
+    Python loop (module docstring).
     """
     n0 = A.nrows
     agg = np.arange(n0, dtype=np.int64)  # fine row -> current coarse index
-    cur = A.to_scipy()
+    cur = A.to_scipy()  # columns sorted, as after every contraction below
     for sweep in range(sweeps):
         n = cur.shape[0]
-        coo = scipy.sparse.triu(cur, k=1).tocoo()
+        rows = np.repeat(np.arange(n, dtype=cur.indices.dtype), np.diff(cur.indptr))
+        upper = cur.indices > rows
+        row, col, a = rows[upper], cur.indices[upper], cur.data[upper]
         diag = cur.diagonal()
-        w = 1.0 - 2.0 * coo.data / (diag[coo.row] + diag[coo.col])
+        w = 1.0 - 2.0 * a / (diag[row] + diag[col])
         keep = w > 0.0
-        row, col, w = coo.row[keep], coo.col[keep], w[keep]
-        order = np.lexsort((col, row, -w))
-        mate = [-1] * n
-        for i, j in zip(row[order].tolist(), col[order].tolist()):
-            if mate[i] < 0 and mate[j] < 0:
-                mate[i] = j
-                mate[j] = i
+        order = np.argsort(-w[keep], kind="stable")
+        row, col = row[keep][order], col[keep][order]
+        mate = np.full(n, -1, dtype=np.int64)
+        matched = [False] * n
+        block = max(n, 1024)
+        for start in range(0, len(row), block):
+            bi, bj = row[start:start + block], col[start:start + block]
+            live = (mate[bi] < 0) & (mate[bj] < 0)
+            pi, pj = [], []
+            for i, j in zip(bi[live].tolist(), bj[live].tolist()):
+                if not (matched[i] or matched[j]):
+                    matched[i] = matched[j] = True
+                    pi.append(i)
+                    pj.append(j)
+            mate[pi] = pj
+            mate[pj] = pi
         idx = np.arange(n)
-        mate = np.array(mate, dtype=np.int64)
         rep = np.where(mate < 0, idx, np.minimum(idx, mate))
         is_rep = rep == idx
         new_idx = (np.cumsum(is_rep) - 1)[rep]
@@ -206,7 +230,9 @@ def matching_aggregate(A, sweeps=3):
         if nc == n or sweep == sweeps - 1:
             break  # no further sweep reads the coarsened graph
         Pc = _aggregates_to_prolongator(n, new_idx, nc).to_scipy()
-        cur = Pc.T @ cur @ Pc
+        # Pc^T as CSR, not as a CSC view: same bits (module docstring)
+        cur = Pc.T.tocsr() @ cur @ Pc
+        cur.sort_indices()
     return _aggregates_to_prolongator(n0, agg, int(agg.max()) + 1)
 
 
@@ -242,7 +268,7 @@ def smooth_prolongator(A, P_hat, omega):
         raise ValueError("zero diagonal entry")
     Asp = A.to_scipy()
     scaled = scipy.sparse.diags(omega / d) @ Asp
-    return CsrMatrix.from_scipy(P_hat.to_scipy() - scaled @ P_hat.to_scipy())
+    return CsrMatrix._adopt(P_hat.to_scipy() - scaled @ P_hat.to_scipy())
 
 
 def galerkin_rap(A, P):
@@ -251,7 +277,7 @@ def galerkin_rap(A, P):
         raise ValueError("dimension mismatch in Galerkin product")
     sp = P.to_scipy().T @ A.to_scipy() @ P.to_scipy()
     sp = (sp + sp.T) * 0.5
-    return CsrMatrix.from_scipy(sp)
+    return CsrMatrix._adopt(sp)
 
 
 def build_hierarchy(
@@ -359,8 +385,8 @@ def vcycle_apply(h, r, _level=0):
     resid = r - spmv(level.A, x)
     rc = spmv(level.R, resid)
     xc = vcycle_apply(h, rc, _level + 1)
-    x = x + spmv(level.P, xc)
-    return smoother_apply(level.smoother, level.A, level.M, r, x)
+    x += spmv(level.P, xc)
+    return _smooth_steps(level.smoother, level.A, level.M, x, r - spmv(level.A, x))
 
 
 def as_vcycle_preconditioner(h):

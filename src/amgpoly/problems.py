@@ -103,7 +103,7 @@ def aniso2d_q1(m, epsilon, angle):
     A_full = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n_all, n_all)).tocsr()
     keep = np.arange(nx, n_all)  # drop the y=-1 row
     A = A_full[np.ix_(keep, keep)]
-    return CsrMatrix.from_scipy(A), load[keep]
+    return CsrMatrix._adopt(A), load[keep]
 
 
 @dataclass

@@ -128,14 +128,31 @@ def smoother_apply(config, A, M, b, x0=None):
     if len(x) != n or n != A.nrows:
         raise ValueError("dimension mismatch")
     r = b.copy() if x0 is None else b - A.matvec(x)
-    d = np.zeros(n)
+    return _smooth_steps(config, A, M, x, r)
+
+
+def _smooth_steps(config, A, M, x, r):
+    """Run the step table from iterate ``x`` with residual ``r``.
+
+    Updates ``x`` and ``r`` in place and returns ``x``; the caller owns both.
+    """
+    n = len(x)
+    d = np.empty(n)  # every family's first step overwrites it
     s = np.empty(n)  # scratch for e_j M^-1 r, then w_j d
     for j, (c, e, w) in enumerate(config.steps, 1):
-        d *= c
-        np.divide(r, M, out=s)
-        if e != 1.0:  # a product with 1.0 is exact: skipping it changes no bit
-            s *= e
-        d += s
+        if j == 1 or c == 0.0:
+            # d = 0 before the first step, and c_j = 0 cancels it later:
+            # c_j d + s is s up to the sign of a zero entry, which no later
+            # operation turns into a nonzero difference
+            np.divide(r, M, out=d)
+            if e != 1.0:  # a product with 1.0 is exact: skipping it changes no bit
+                d *= e
+        else:
+            d *= c
+            np.divide(r, M, out=s)
+            if e != 1.0:
+                s *= e
+            d += s
         if w != 1.0:
             np.multiply(d, w, out=s)
             x += s

@@ -4,8 +4,10 @@
 duplicate-free columns.  Every operator application of the solve phase
 (smoothers, V-cycle, Krylov) goes through ``spmv``, which counts it.  The
 setup kernels (``amg``, ``smoothers.l1_jacobi_diag``) read the scipy matrix
-through ``to_scipy``; they and the generators (``problems``) hand the
-matrices they build to ``from_scipy`` or ``from_coo``.  Every kernel reads
+through ``to_scipy``.  A matrix they build and nothing else holds (a
+Galerkin product, a smoothed prolongator, a transpose, a generated
+operator) is canonicalized in place and wrapped by ``CsrMatrix._adopt``;
+the public ``from_scipy`` copies its argument first.  Every kernel reads
 the same arrays in scipy's fixed evaluation order, so results are
 run-to-run deterministic.
 """
@@ -73,18 +75,22 @@ class CsrMatrix:
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, vals):
         """Assemble from triplets; duplicates are summed, zeros dropped."""
-        m = scipy.sparse.coo_matrix(
+        return cls._adopt(scipy.sparse.coo_matrix(
             (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(nrows, ncols)
-        ).tocsr()
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        return cls(nrows, ncols, m.indptr, m.indices, m.data)
+        ).tocsr())
 
     @classmethod
     def from_scipy(cls, m):
         """Canonical copy of any scipy sparse matrix; ``m`` is left as it was."""
-        m = m.tocsr(copy=True)
+        return cls._adopt(m.tocsr(copy=True))
+
+    @classmethod
+    def _adopt(cls, m):
+        """Wrap a scipy CSR matrix that nothing else holds, with no copy.
+
+        ``m`` is canonicalized in place (duplicates summed, zeros dropped,
+        columns sorted) and then passes the constructor's checks.
+        """
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
@@ -92,7 +98,7 @@ class CsrMatrix:
 
     @classmethod
     def from_dense(cls, a):
-        return cls.from_scipy(scipy.sparse.csr_matrix(np.asarray(a, dtype=np.float64)))
+        return cls._adopt(scipy.sparse.csr_matrix(np.asarray(a, dtype=np.float64)))
 
     @classmethod
     def identity(cls, n):
@@ -131,7 +137,7 @@ class CsrMatrix:
         return self.to_scipy().toarray()
 
     def transpose(self):
-        return CsrMatrix.from_scipy(self.to_scipy().T)
+        return CsrMatrix._adopt(self.to_scipy().T.tocsr())
 
     def diagonal(self):
         return self.to_scipy().diagonal()

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +223,23 @@ class TestVcycle:
         A, _ = poisson3d(4)
         h = build_hierarchy(A, min_coarse_size=10)
         assert np.array_equal(vcycle_apply(h, np.zeros(64)), np.zeros(64))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bitwise_equal_to_public_smoother_calls(self, family, rng):
+        # the post-smoother updates the V-cycle's own iterate in place; the
+        # public smoother_apply copies it first and must give the same bits
+        A, _ = poisson3d(6)
+        smoother = PolySmootherConfig(family=family, degree=3)
+        h = build_hierarchy(A, smoother=smoother, max_levels=2, min_coarse_size=10,
+                            coarse_solver="dense_direct")
+        assert len(h.levels) == 2
+        fine = h.levels[0]
+        r = rng.standard_normal(A.nrows)
+        x = smoother_apply(smoother, fine.A, fine.M, r)
+        rc = spmv(fine.R, r - spmv(fine.A, x))
+        xc = scipy.linalg.cho_solve(h.coarse_factor, rc)
+        want = smoother_apply(smoother, fine.A, fine.M, r, x + spmv(fine.P, xc))
+        assert vcycle_apply(h, r).tobytes() == want.tobytes()
 
     def test_linearity(self, rng):
         A, _ = poisson3d(4)

@@ -6,6 +6,7 @@ rewritten functions must give identical aggregates, identical prolongator
 arrays and a bitwise identical Q1 matrix and load.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -176,6 +177,67 @@ def test_ties_break_like_the_loops(A):
         assert_same_csr(sa_aggregate(A, theta), sa_aggregate_loop(A, theta))
     for sweeps in SWEEPS:
         assert_same_csr(matching_aggregate(A, sweeps), matching_aggregate_loop(A, sweeps))
+
+
+def test_matching_matches_loop_over_tied_blocks():
+    # 13,824 rows: every sweep walks several blocks of edges, the first of
+    # them all tied at one weight
+    A = poisson3d(24)[0]
+    for sweeps in SWEEPS:
+        assert_same_csr(matching_aggregate(A, sweeps), matching_aggregate_loop(A, sweeps))
+
+
+def mixed_sign_integer_matrix(n, seed):
+    """Symmetric sparse integer matrix with empty rows and some w <= 0.
+
+    Off-diagonals are -3..-1 and 1..3; the diagonal covers only the negative
+    ones, plus 1..3, so a positive coupling can reach (a_ii + a_jj)/2 and
+    every Galerkin diagonal stays positive.  About one row in twenty is
+    emptied, diagonal included.
+    """
+    rng = np.random.default_rng(seed)
+    nnz = 3 * n
+    rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+    vals = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], nnz)
+    off = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    off.sum_duplicates()
+    off = scipy.sparse.triu(off, k=1)
+    off = (off + off.T).tocsr()
+    neg = -off.minimum(0.0)
+    diag = np.asarray(neg.sum(axis=1)).ravel() + rng.integers(1, 4, n)
+    A = (off + scipy.sparse.diags(diag)).tolil()
+    empty = rng.choice(n, n // 20, replace=False)
+    A[empty, :] = 0.0
+    A[:, empty] = 0.0
+    return CsrMatrix.from_scipy(A.tocsr())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_matching_matches_loop_on_mixed_signs(seed):
+    A = mixed_sign_integer_matrix(2400, seed)
+    sp = A.to_scipy()
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
+    d = sp.diagonal()
+    w = 1.0 - 2.0 * A.values / (d[rows] + d[A.col_idx])
+    upper = A.col_idx > rows
+    assert np.any(w[upper] <= 0.0) and np.any(w[upper] > 0.0)
+    assert np.any(np.diff(A.row_ptr) == 0)
+    for sweeps in SWEEPS:
+        assert_same_csr(matching_aggregate(A, sweeps), matching_aggregate_loop(A, sweeps))
+
+
+def test_matching_bench_aggregates_pinned():
+    # sha256 of the aggregates the lexsort implementation gave on the bench's
+    # poisson3d m=48 fine level; no floating-point reduction, so no host
+    # dependence
+    P = matching_aggregate(poisson3d(48)[0])
+    digest = hashlib.sha256()
+    for a in (P.row_ptr.astype(np.int64), P.col_idx.astype(np.int64), P.values):
+        digest.update(a.tobytes())
+    assert (P.nrows, P.ncols) == (110592, 13824)
+    assert digest.hexdigest() == (
+        "b93080c5246f279dc02d92a8a372efdf7ba1dd5006cacc9848879f81c34db82e"
+    )
 
 
 @pytest.mark.parametrize("m", [2, 7, 32])

@@ -199,6 +199,13 @@ class TestZeroGuess:
                 r = r - A.matvec(d)
         assert np.array_equal(smoother_apply(cfg, A, M, b), x)
 
+    def test_does_not_write_to_x0(self):
+        A = tridiag(10)
+        x0 = np.linspace(-1.0, 1.0, 10)
+        cfg = PolySmootherConfig(family="opt_cheb1", degree=3)
+        smoother_apply(cfg, A, l1_jacobi_diag(A), np.ones(10), x0)
+        assert np.array_equal(x0, np.linspace(-1.0, 1.0, 10))
+
     def test_does_not_write_to_b(self):
         A = tridiag(10)
         b = np.linspace(1.0, 2.0, 10)

@@ -74,6 +74,29 @@ class TestCsrMatrix:
         m.indices[:] = 0
         assert np.array_equal(A.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
 
+    def test_adopt_canonicalizes_in_place(self):
+        # row 0 has unsorted columns, a duplicate and an explicit zero
+        m = scipy.sparse.csr_matrix(
+            (np.array([1.0, 2.0, 0.0, 4.0, 3.0]), np.array([2, 0, 1, 2, 0]),
+             np.array([0, 4, 5])), shape=(2, 3))
+        A = CsrMatrix._adopt(m)
+        assert np.array_equal(A.to_dense(), [[2.0, 0.0, 5.0], [3.0, 0.0, 0.0]])
+        assert np.array_equal(A.col_idx, [0, 2, 0])
+        assert np.shares_memory(A.values, m.data)
+
+    def test_adopt_keeps_the_structural_checks(self):
+        m = scipy.sparse.csr_matrix(np.eye(2))
+        m.indices[1] = 5  # out of range, left as it is by canonicalization
+        with pytest.raises(ValueError, match="ncols"):
+            CsrMatrix._adopt(m)
+
+    def test_transpose_does_not_alias(self):
+        A = CsrMatrix.from_dense([[2.0, -1.0], [0.0, 3.0]])
+        At = A.transpose()
+        assert np.array_equal(At.to_dense(), [[2.0, 0.0], [-1.0, 3.0]])
+        for a, b in ((At.row_ptr, A.row_ptr), (At.col_idx, A.col_idx), (At.values, A.values)):
+            assert not np.shares_memory(a, b)
+
     def test_transpose_symmetry_check(self):
         A = tridiag(5)
         assert A.is_symmetric()
