@@ -6,8 +6,8 @@ step P = (I - omega D^-1 A) P_hat with omega = 4/(3 lambda_max).
 
 Smoothed aggregation builds the strength graph once per level: the mask
 |a_ij| >= theta sqrt(|a_ii a_jj|), j != i, evaluated with numpy over the CSR
-arrays and handed to the greedy passes as plain Python lists, except the
-|a_ij| weights, which stay a numpy array read only for the leftover rows.
+arrays and kept as numpy arrays; the greedy passes turn into Python lists
+only the rows they visit.
 Seeding walks the rows in natural order; a leftover row joins its strongest
 aggregated neighbor, the first in column order on a tie.  Matching visits
 the edges by decreasing weight, then lower row, then lower column, and
@@ -123,21 +123,29 @@ def strength_graph(A, theta):
     """Strong off-diagonal couplings of each row, in column order.
 
     Entry (i, j) is strong when j != i and |a_ij| >= theta sqrt(|a_ii a_jj|),
-    evaluated once over the CSR arrays.  Returns ``(ptr, cols, weights)``:
+    evaluated once over the CSR arrays, with the threshold built in place in
+    one nnz-long buffer.  Returns ``(ptr, cols, weights)``, all numpy arrays:
     row i's strong columns are ``cols[ptr[i]:ptr[i+1]]`` and their |a_ij| the
-    same slice of ``weights``.  ``ptr`` and ``cols`` are plain Python lists,
-    walked by both greedy passes; ``weights`` stays a numpy array, because
-    only the few rows left for the leftover pass read it.
+    same slice of ``weights``.  ``ptr`` counts the strong entries before each
+    ``row_ptr`` position.
     """
     n = A.nrows
-    rows = np.repeat(np.arange(n), np.diff(A.row_ptr))
     cols = A.col_idx
     diag = A.diagonal()
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(A.row_ptr))
+    bound = diag[rows]
+    bound *= diag[cols]
+    np.abs(bound, out=bound)
+    np.sqrt(bound, out=bound)
+    bound *= theta
+    strong = cols != rows
+    del rows
     absv = np.abs(A.values)
-    strong = (cols != rows) & (absv >= theta * np.sqrt(np.abs(diag[rows] * diag[cols])))
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[strong], minlength=n), out=ptr[1:])
-    return ptr.tolist(), cols[strong].tolist(), absv[strong]
+    strong &= absv >= bound
+    del bound
+    before = np.zeros(len(cols) + 1, dtype=A.row_ptr.dtype)
+    np.cumsum(strong, dtype=before.dtype, out=before[1:])
+    return before[A.row_ptr], cols[strong], absv[strong]
 
 
 def sa_aggregate(A, theta=0.01):
@@ -153,12 +161,13 @@ def sa_aggregate(A, theta=0.01):
     """
     n = A.nrows
     ptr, cols, weights = strength_graph(A, theta)
+    ptr = ptr.tolist()
     agg = [-1] * n
     n_agg = 0
     for i in range(n):
         if agg[i] >= 0:
             continue
-        neigh = [j for j in cols[ptr[i]:ptr[i + 1]] if agg[j] < 0]
+        neigh = [j for j in cols[ptr[i]:ptr[i + 1]].tolist() if agg[j] < 0]
         if len(neigh) < 2:
             continue  # too close to existing aggregates; leftover pass decides
         agg[i] = n_agg
@@ -170,7 +179,7 @@ def sa_aggregate(A, theta=0.01):
             continue
         best, best_w = -1, -1.0
         lo, hi = ptr[i], ptr[i + 1]
-        for j, w in zip(cols[lo:hi], weights[lo:hi].tolist()):
+        for j, w in zip(cols[lo:hi].tolist(), weights[lo:hi].tolist()):
             a = agg[j]
             if a >= 0 and w > best_w:
                 best, best_w = a, w

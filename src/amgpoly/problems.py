@@ -12,40 +12,43 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .sparse import CsrMatrix
+
+
+def _index_dtype(max_nnz):
+    """The index dtype scipy would pick for a matrix of up to ``max_nnz`` entries."""
+    return np.int32 if max_nnz < 2**31 else np.int64
 
 
 def poisson3d(m):
     """7-point Poisson on the unit cube, homogeneous Dirichlet eliminated.
 
     Returns the m^3 x m^3 matrix (diagonal 6, -1 per grid neighbor) and the
-    all-ones right-hand side.
+    all-ones right-hand side.  Each row's columns -m^2, -m, -1, 0, 1, m, m^2
+    (those inside the cube) are written straight into the CSR arrays, in
+    increasing order.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     n = m**3
-    idx = np.arange(n)
-    ix = idx % m
-    iy = (idx // m) % m
-    iz = idx // (m * m)
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(n, 6.0)]
-    for comp, stride in ((ix, 1), (iy, m), (iz, m * m)):
-        mask = comp > 0
-        rows.append(idx[mask])
-        cols.append(idx[mask] - stride)
-        vals.append(np.full(mask.sum(), -1.0))
-        mask = comp < m - 1
-        rows.append(idx[mask])
-        cols.append(idx[mask] + stride)
-        vals.append(np.full(mask.sum(), -1.0))
-    A = CsrMatrix.from_coo(
-        n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
-    return A, np.ones(n)
+    itype = _index_dtype(7 * n)
+    has_lo, has_hi = np.arange(m) > 0, np.arange(m) < m - 1
+    # keep[iz, iy, ix, k]: offset k of node (ix, iy, iz) lies inside the cube
+    keep = np.ones((m, m, m, 7), dtype=bool)
+    for axis, (lo, hi) in enumerate(((0, 6), (1, 5), (2, 4))):
+        shape = [1, 1, 1]
+        shape[axis] = m
+        keep[..., lo] = has_lo.reshape(shape)
+        keep[..., hi] = has_hi.reshape(shape)
+    keep = keep.reshape(n, 7)
+    ptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=ptr[1:])
+    offsets = np.array([-m * m, -m, -1, 0, 1, m, m * m], dtype=itype)
+    cols = (np.arange(n, dtype=itype)[:, None] + offsets)[keep]
+    vals = np.full(len(cols), -1.0)
+    vals[ptr[:-1] + np.count_nonzero(keep[:, :3], axis=1)] = 6.0
+    return CsrMatrix(n, n, ptr, cols, vals), np.ones(n)
 
 
 def _q1_element_stiffness(K, h):
@@ -68,12 +71,41 @@ def _q1_element_stiffness(K, h):
     return ke
 
 
+def _q1_stencils(ke):
+    """Assembled 9-point stencil of each node class of a uniform Q1 grid.
+
+    ``T[cy, cx, dy + 1, dx + 1]`` couples a node of class (cx, cy) to its
+    neighbor at offset (dx, dy); a class is 0 on the first grid line, 1 inside
+    and 2 on the last, in each direction.  Each entry is the sum of ``ke[a, b]``
+    over the elements that hold both nodes, added in increasing element index
+    (x fastest), and 0.0 where none does.
+    """
+    # per class, the offsets of the node's elements' lower-left corners
+    corners = ((0,), (-1, 0), (-1,))
+    T = np.zeros((3, 3, 3, 3))
+    for cy in range(3):
+        for cx in range(3):
+            for ey in corners[cy]:
+                for ex in corners[cx]:
+                    a = -ex - 2 * ey  # the node's local index in the element
+                    for qy in (0, 1):
+                        for qx in (0, 1):
+                            T[cy, cx, qy + ey + 1, qx + ex + 1] += ke[a, qx + 2 * qy]
+    return T
+
+
 def aniso2d_q1(m, epsilon, angle):
     """Rotated anisotropic diffusion on [-1,1]^2 with Q1 elements.
 
     Conductivity diag(1, epsilon) rotated by ``angle``; Dirichlet rows on the
     y = -1 face are eliminated, the remaining boundaries are natural.  The
     load comes from f(x,y) = exp(-100(x^2+y^2)) by centroid quadrature.
+
+    Every element has the same stiffness ``ke``, so each row is its node
+    class's stencil (``_q1_stencils``), written straight into the CSR arrays
+    without the eliminated row's columns and without exact zeros.  Each entry
+    and each load sums its element terms in increasing element index, the
+    order in which an element-by-element triplet assembly adds them.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -84,26 +116,33 @@ def aniso2d_q1(m, epsilon, angle):
     ke = _q1_element_stiffness(K, h)
 
     nx = m + 1
-    n_all = nx * nx
-    n_el = m * m
-    # element-major triplets: element (ei, ej) with ei fastest, then local
-    # (a, b) pairs with b fastest; node numbering x fastest
-    e = np.arange(n_el, dtype=np.int64)
-    ei, ej = e % m, e // m
-    loc = (ej * nx + ei)[:, None] + np.array([0, 1, nx, nx + 1], dtype=np.int64)
-    rows = np.repeat(loc, 4, axis=1).ravel()
-    cols = np.tile(loc, (1, 4)).ravel()
-    vals = np.tile(ke.ravel(), n_el)
-    xc = -1.0 + (ei + 0.5) * h
-    yc = -1.0 + (ej + 0.5) * h
+    n = nx * m  # node rows y = 1..m of the nx x nx grid, x fastest
+    itype = _index_dtype(9 * n)
+    cls = np.ones(nx, dtype=np.intp)
+    cls[0], cls[-1] = 0, 2
+    stencil = _q1_stencils(ke)[cls[1:, None], cls[None, :]]  # (m, nx, 3, 3)
+    stencil[0, :, 0, :] = 0.0  # y = 1 couples south only to the eliminated row
+    stencil = stencil.reshape(n, 9)
+    keep = stencil != 0.0
+    ptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=ptr[1:])
+    offsets = (np.array([-nx, 0, nx])[:, None] + np.array([-1, 0, 1])).ravel().astype(itype)
+    cols = (np.arange(n, dtype=itype)[:, None] + offsets)[keep]
+    vals = stencil[keep]
+
+    # element (ei, ej) sits at fe[ej + 1, ei + 1], padded with a ring of zeros
+    centers = -1.0 + (np.arange(m) + 0.5) * h
+    r2 = -100.0 * (centers * centers + (centers * centers)[:, None])
+    fe = np.zeros((m + 2, m + 2))
     # math.exp per element: np.exp may round differently in the last bit
-    fe = np.array([math.exp(t) for t in (-100.0 * (xc * xc + yc * yc)).tolist()]) * h * h / 4.0
-    load = np.zeros(n_all)
-    np.add.at(load, loc.ravel(), np.repeat(fe, 4))
-    A_full = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n_all, n_all)).tocsr()
-    keep = np.arange(nx, n_all)  # drop the y=-1 row
-    A = A_full[np.ix_(keep, keep)]
-    return CsrMatrix._adopt(A), load[keep]
+    fe[1:-1, 1:-1] = np.array(
+        [math.exp(t) for t in r2.ravel().tolist()]
+    ).reshape(m, m) * h * h / 4.0
+    # node (i, j) gathers elements (i-1, j-1), (i, j-1), (i-1, j), (i, j)
+    load = fe[1:-1, :-1] + fe[1:-1, 1:]
+    load += fe[2:, :-1]
+    load += fe[2:, 1:]
+    return CsrMatrix(n, n, ptr, cols, vals), load.ravel()
 
 
 @dataclass

@@ -45,17 +45,26 @@ FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
 def l1_jacobi_diag(A):
     """l1-Jacobi diagonal of a square matrix with positive diagonal.
 
-    Returns the array M_i = a_ii + sum_{j != i} |a_ij|.  Reads the scipy CSR
-    storage of a ``CsrMatrix`` and the dense array of any other operator
-    (``SpectralOperator``); one formula serves both.
+    Returns the array M_i = a_ii + sum_{j != i} |a_ij|.  A ``CsrMatrix``'s
+    row sums of |a_ij| are reduced straight from its value array, as scipy's
+    CSR ``sum(axis=1)`` reduces them (``np.add.reduceat`` at the nonempty
+    rows), with no copy of the index arrays; any other operator
+    (``SpectralOperator``) is summed over its dense array.
     """
     if A.nrows != A.ncols:
         raise ValueError("matrix must be square")
-    S = A.to_scipy() if isinstance(A, CsrMatrix) else A.to_dense()
-    d = S.diagonal()
+    if isinstance(A, CsrMatrix):
+        d = A.diagonal()
+        nonempty = np.flatnonzero(np.diff(A.row_ptr))
+        row_abs = np.zeros(A.nrows)
+        row_abs[nonempty] = np.add.reduceat(np.abs(A.values), A.row_ptr[nonempty])
+    else:
+        S = A.to_dense()
+        d = S.diagonal()
+        row_abs = abs(S).sum(axis=1)
     if np.any(d <= 0.0):
         raise ValueError("non-positive diagonal entry")
-    return np.asarray(abs(S).sum(axis=1)).ravel() - np.abs(d) + d
+    return row_abs - np.abs(d) + d
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ duplicate-free columns.  Every operator application of the solve phase
 (smoothers, V-cycle, Krylov) goes through ``spmv``, which counts it.  The
 setup kernels (``amg``, ``smoothers.l1_jacobi_diag``) read the scipy matrix
 through ``to_scipy``.  A matrix they build and nothing else holds (a
-Galerkin product, a smoothed prolongator, a transpose, a generated
-operator) is canonicalized in place and wrapped by ``CsrMatrix._adopt``;
-the public ``from_scipy`` copies its argument first.  Every kernel reads
+Galerkin product, a smoothed prolongator, a transpose) is canonicalized in
+place and wrapped by ``CsrMatrix._adopt``; the public ``from_scipy`` copies
+its argument first.  The generators in ``problems`` write canonical CSR
+arrays and pass them to the checked constructor.  Every kernel reads
 the same arrays in scipy's fixed evaluation order, so results are
 run-to-run deterministic.
 """
@@ -71,13 +72,6 @@ class CsrMatrix:
         self._m = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(nrows, ncols))
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_coo(cls, nrows, ncols, rows, cols, vals):
-        """Assemble from triplets; duplicates are summed, zeros dropped."""
-        return cls._adopt(scipy.sparse.coo_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(nrows, ncols)
-        ).tocsr())
 
     @classmethod
     def from_scipy(cls, m):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -55,6 +57,24 @@ def integer_m_matrices(draw):
     A = A + A.T
     A[np.diag_indices(n)] = -A.sum(axis=1) + extra
     return CsrMatrix.from_dense(A)
+
+
+def traced_peak(f):
+    """``f()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(*arrays):
+    """Bytes held by numpy arrays and by the three arrays of CsrMatrix ones."""
+    total = 0
+    for a in arrays:
+        parts = (a.row_ptr, a.col_idx, a.values) if isinstance(a, CsrMatrix) else (a,)
+        total += sum(x.nbytes for x in parts)
+    return total
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,14 +17,23 @@ from amgpoly.amg import (
     matching_aggregate,
     sa_aggregate,
     smooth_prolongator,
+    strength_graph,
     two_level_constants,
     vcycle_apply,
 )
-from amgpoly.problems import poisson3d
+from amgpoly.problems import aniso2d_q1, poisson3d
 from amgpoly.smoothers import FAMILIES, PolySmootherConfig, l1_jacobi_diag, smoother_apply
 from amgpoly.sparse import CsrMatrix, reset_spmv_count, spmv, spmv_count
 
-from conftest import integer_m_matrices, linear_interp_1d, poisson2d_5pt, random_spd, tridiag
+from conftest import (
+    integer_m_matrices,
+    linear_interp_1d,
+    nbytes,
+    poisson2d_5pt,
+    random_spd,
+    traced_peak,
+    tridiag,
+)
 
 
 class TestSaAggregate:
@@ -47,6 +57,28 @@ class TestSaAggregate:
         A, _ = poisson3d(4)
         P = sa_aggregate(A)
         assert 64 / 27 <= P.ncols < 64
+
+    def test_level0_aniso2d_memory(self):
+        # the peak was 36x the prolongator's bytes when the strength graph
+        # went to Python lists whole; 14x since only visited rows do
+        A = aniso2d_q1(128, 100.0, math.pi / 6)[0]
+        P, peak = traced_peak(lambda: sa_aggregate(A, 0.01))
+        assert peak <= 20.0 * nbytes(P)
+
+
+class TestStrengthGraph:
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
+    def test_matches_dense_mask(self, theta):
+        A = random_spd(12, seed=3)
+        D = A.to_dense()
+        ptr, cols, weights = strength_graph(A, theta)
+        assert all(isinstance(a, np.ndarray) for a in (ptr, cols, weights))
+        d = np.diag(D)
+        for i in range(A.nrows):
+            strong = [j for j in range(A.ncols) if j != i and D[i, j] != 0.0
+                      and abs(D[i, j]) >= theta * np.sqrt(abs(d[i] * d[j]))]
+            assert cols[ptr[i]:ptr[i + 1]].tolist() == strong
+            assert weights[ptr[i]:ptr[i + 1]].tolist() == [abs(D[i, j]) for j in strong]
 
 
 class TestMatchingAggregate:

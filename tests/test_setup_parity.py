@@ -1,9 +1,11 @@
-"""The array-based setup kernels against the loop implementations they replaced.
+"""The array-based setup kernels against the implementations they replaced.
 
 ``sa_aggregate``, ``matching_aggregate`` and ``aniso2d_q1`` were once plain
 Python loops over numpy scalars.  Those loops are kept here as oracles: the
 rewritten functions must give identical aggregates, identical prolongator
-arrays and a bitwise identical Q1 matrix and load.
+arrays and a bitwise identical Q1 matrix and load.  Both generators were
+then triplet assemblies summed by scipy's COO -> CSR conversion; those are
+kept too, and the direct CSR assembly must match them bit for bit.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 
 from amgpoly.amg import _aggregates_to_prolongator as _prolongator
 from amgpoly.amg import matching_aggregate, sa_aggregate
@@ -138,6 +140,54 @@ def aniso2d_q1_loop(m, epsilon, angle):
     return CsrMatrix.from_scipy(A), load[keep]
 
 
+def aniso2d_q1_triplets(m, epsilon, angle):
+    """Element-major triplets, duplicates summed by scipy's COO -> CSR."""
+    h = 2.0 / m
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    K = R @ np.diag([1.0, epsilon]) @ R.T
+    ke = _q1_element_stiffness(K, h)
+    nx = m + 1
+    n_all = nx * nx
+    n_el = m * m
+    # element (ei, ej) with ei fastest, then local (a, b) pairs with b fastest
+    e = np.arange(n_el, dtype=np.int64)
+    ei, ej = e % m, e // m
+    loc = (ej * nx + ei)[:, None] + np.array([0, 1, nx, nx + 1], dtype=np.int64)
+    rows = np.repeat(loc, 4, axis=1).ravel()
+    cols = np.tile(loc, (1, 4)).ravel()
+    vals = np.tile(ke.ravel(), n_el)
+    xc = -1.0 + (ei + 0.5) * h
+    yc = -1.0 + (ej + 0.5) * h
+    fe = np.array([math.exp(t) for t in (-100.0 * (xc * xc + yc * yc)).tolist()]) * h * h / 4.0
+    load = np.zeros(n_all)
+    np.add.at(load, loc.ravel(), np.repeat(fe, 4))
+    A_full = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n_all, n_all)).tocsr()
+    keep = np.arange(nx, n_all)  # drop the y=-1 row
+    return CsrMatrix._adopt(A_full[np.ix_(keep, keep)]), load[keep]
+
+
+def poisson3d_coo(m):
+    """Diagonal, then the -1 and +1 neighbor along x, y, z, summed by COO -> CSR."""
+    n = m**3
+    idx = np.arange(n)
+    ix = idx % m
+    iy = (idx // m) % m
+    iz = idx // (m * m)
+    rows = [idx]
+    cols = [idx]
+    vals = [np.full(n, 6.0)]
+    for comp, stride in ((ix, 1), (iy, m), (iz, m * m)):
+        for mask, step in ((comp > 0, -stride), (comp < m - 1, stride)):
+            rows.append(idx[mask])
+            cols.append(idx[mask] + step)
+            vals.append(np.full(mask.sum(), -1.0))
+    A = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    return CsrMatrix._adopt(A), np.ones(n)
+
+
 # -- parity -----------------------------------------------------------------
 
 
@@ -170,7 +220,10 @@ def test_matching_matches_loop(matrix):
         assert_same_csr(matching_aggregate(matrix, sweeps), matching_aggregate_loop(matrix, sweeps))
 
 
-@settings(max_examples=80, deadline=None)
+# no shrink phase: a wrong aggregation fails on the example that found it,
+# instead of shrinking through thousands of slow loop-oracle calls
+@settings(max_examples=80, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(integer_m_matrices())
 def test_ties_break_like_the_loops(A):
     for theta in THETAS:
@@ -245,5 +298,31 @@ def test_matching_bench_aggregates_pinned():
 def test_aniso2d_bitwise_equal_to_loop_assembly(m, epsilon, angle):
     A, b = aniso2d_q1(m, epsilon, angle)
     A_ref, b_ref = aniso2d_q1_loop(m, epsilon, angle)
+    assert_same_csr(A, A_ref)
+    assert b.tobytes() == b_ref.tobytes()
+
+
+GENERATOR_MS = (2, 3, 4, 5, 7, 16, 33)
+# epsilon = -1 is not a diffusion problem; its stencils sum to exact zeros
+# in some entries, which both assemblies must drop
+ANISO_PARAMS = [
+    (100.0, math.pi / 6), (1.0, 0.0), (1e-3, 1.0), (100.0, math.pi / 2), (2.0, 0.0),
+    (-1.0, math.pi / 4), (-1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("m", GENERATOR_MS)
+@pytest.mark.parametrize("epsilon,angle", ANISO_PARAMS)
+def test_aniso2d_bitwise_equal_to_triplet_assembly(m, epsilon, angle):
+    A, b = aniso2d_q1(m, epsilon, angle)
+    A_ref, b_ref = aniso2d_q1_triplets(m, epsilon, angle)
+    assert_same_csr(A, A_ref)
+    assert b.tobytes() == b_ref.tobytes()
+
+
+@pytest.mark.parametrize("m", GENERATOR_MS)
+def test_poisson3d_bitwise_equal_to_coo_assembly(m):
+    A, b = poisson3d(m)
+    A_ref, b_ref = poisson3d_coo(m)
     assert_same_csr(A, A_ref)
     assert b.tobytes() == b_ref.tobytes()

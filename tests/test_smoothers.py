@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amgpoly.chebyshev import ScaledChebParams, cheb4_eval, scaled_cheb_eval
-from amgpoly.problems import SpectralOperator, poisson3d, spectral_synthetic
+from amgpoly.amg import CoarseningConfig, build_hierarchy
+from amgpoly.problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
 from amgpoly.smoothers import (
     FAMILIES,
     PolySmootherConfig,
@@ -50,6 +52,20 @@ class TestL1Diag:
         d = np.diag(D)
         expected = np.abs(D).sum(axis=1) - np.abs(d) + d
         assert l1_jacobi_diag(op).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("problem", ["aniso2d-sa", "poisson3d-matching"])
+    def test_csr_matches_scipy_row_sums_on_every_level(self, problem):
+        if problem == "aniso2d-sa":
+            A, kind = aniso2d_q1(64, 100.0, math.pi / 6)[0], "smoothed_aggregation"
+        else:
+            A, kind = poisson3d(16)[0], "pairwise_matching"
+        h = build_hierarchy(A, CoarseningConfig(kind=kind), min_coarse_size=20)
+        assert len(h.levels) >= 3
+        for level in h.levels:
+            S = level.A.to_scipy()
+            d = S.diagonal()
+            expected = np.asarray(abs(S).sum(axis=1)).ravel() - np.abs(d) + d
+            assert level.M.tobytes() == expected.tobytes()
 
     def test_spectral_operator_negative_eigenvalues_rejected(self):
         with pytest.raises(ValueError, match="non-positive diagonal"):

@@ -23,15 +23,6 @@ class TestCsrMatrix:
         eye = CsrMatrix.identity(3)
         assert np.array_equal(eye.to_dense(), np.eye(3))
 
-    def test_from_coo_sums_duplicates_and_drops_zeros(self):
-        A = CsrMatrix.from_coo(2, 2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 0.0])
-        assert A.nnz == 1
-        assert A.to_dense()[0, 0] == 3.0
-
-    def test_column_indices_sorted_within_rows(self):
-        A = CsrMatrix.from_coo(1, 4, [0, 0, 0], [3, 0, 2], [1.0, 2.0, 3.0])
-        assert np.all(np.diff(A.col_idx) > 0)
-
     def test_invalid_row_ptr_rejected(self):
         with pytest.raises(ValueError):
             CsrMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
