@@ -36,9 +36,7 @@ from .chebyshev import (
 from .krylov import KrylovConfig, SolveReport, solve
 from .optimize import (
     BetaTable,
-    OptimalParams,
     brent_root,
-    compute_optimal_params,
     evaluate_gamma_numeric,
     gamma_cheb4,
     lambda_of,
@@ -64,7 +62,6 @@ from .sparse import (
     CsrMatrix,
     dense_sym_eig,
     fused_update,
-    jacobi_sym_eig,
     read_matrix_market,
     reset_spmv_count,
     spmv,

@@ -27,7 +27,6 @@ terms per entry, and such a sum does not depend on the order of its terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,9 @@ from .smoothers import (
     smoother_apply,
 )
 from .sparse import MAX_DENSE_N, CsrMatrix, dense_sym_eig, spmv
+
+# Power-iteration steps of estimate_lambda_max
+POWER_STEPS = 25
 
 
 @dataclass
@@ -106,9 +108,6 @@ class AmgHierarchy:
             "operator_complexity": self.operator_complexity(),
             "stagnated": self.stagnated,
         }
-
-    def summary_json(self):
-        return json.dumps(self.summary(), indent=2)
 
 
 # -- coarsening -------------------------------------------------------------
@@ -245,29 +244,29 @@ def matching_aggregate(A, sweeps=3):
     return _aggregates_to_prolongator(n0, agg, int(agg.max()) + 1)
 
 
-def estimate_lambda_max(A, d, iters=25):
+def estimate_lambda_max(A, d):
     """Power-iteration estimate of the largest eigenvalue of D^-1 A.
 
-    Runs on the similar symmetric operator D^-1/2 A D^-1/2 and returns the
-    final Rayleigh quotient, which converges at the squared power-iteration
-    rate.  The start vector is all-ones plus a fixed seeded perturbation:
-    on mirror-symmetric grids the plain ones vector is exactly orthogonal
-    to the dominant (oscillatory) mode and the iteration would stall on a
-    lower eigenvalue.  The seed is fixed, so the estimate is deterministic.
+    Runs ``POWER_STEPS`` steps on the similar symmetric operator
+    D^-1/2 A D^-1/2 and returns the Rayleigh quotient of the last one, which
+    converges at the squared power-iteration rate.  The start vector is
+    all-ones plus a fixed seeded perturbation: on mirror-symmetric grids the
+    plain ones vector is exactly orthogonal to the dominant (oscillatory)
+    mode and the iteration would stall on a lower eigenvalue.  The seed is
+    fixed, so the estimate is deterministic.
     """
     if np.any(d <= 0.0):
         raise ValueError("diagonal must be positive")
     ds = np.sqrt(d)
     v = np.ones(A.nrows) + np.random.default_rng(0).uniform(-0.5, 0.5, A.nrows)
-    lam = 1.0
-    for _ in range(iters):
+    for _ in range(POWER_STEPS - 1):
         w = spmv(A, v / ds) / ds
-        lam = float(v @ w) / float(v @ v)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return 0.0
         v = w / nrm
-    return lam
+    w = spmv(A, v / ds) / ds
+    return float(v @ w) / float(v @ v)
 
 
 def smooth_prolongator(A, P_hat, omega):
@@ -280,11 +279,18 @@ def smooth_prolongator(A, P_hat, omega):
     return CsrMatrix._adopt(P_hat.to_scipy() - scaled @ P_hat.to_scipy())
 
 
-def galerkin_rap(A, P):
-    """Coarse operator P^T A P; symmetrized to the working precision."""
-    if A.ncols != P.nrows:
+def galerkin_rap(A, P, R):
+    """Coarse operator R A P with R = P^T, symmetrized to the working precision.
+
+    Formed as ``R @ (A^T @ P)``, all in CSR: the two products scipy
+    evaluates for ``P.T @ A @ P``, so the coarse operators keep their bits.
+    A^T, not A: a fine operator symmetric only to rounding (aniso2d)
+    differs from its transpose in the last bit.
+    """
+    if A.ncols != P.nrows or R.ncols != A.nrows:
         raise ValueError("dimension mismatch in Galerkin product")
-    sp = P.to_scipy().T @ A.to_scipy() @ P.to_scipy()
+    # one expression, so A^T is freed before the outer product runs
+    sp = R.to_scipy() @ (A.to_scipy().T.tocsr() @ P.to_scipy())
     sp = (sp + sp.T) * 0.5
     return CsrMatrix._adopt(sp)
 
@@ -343,9 +349,9 @@ def build_hierarchy(
             stagnated = 0
         if P.ncols >= Al.nrows:
             break
-        Ac = galerkin_rap(Al, P)
-        levels[-1].P = P
-        levels[-1].R = P.transpose()
+        R = P.transpose()
+        levels[-1].P, levels[-1].R = P, R
+        Ac = galerkin_rap(Al, P, R)
         levels.append(Level(A=Ac, M=l1_jacobi_diag(Ac), smoother=smoother))
     coarse_smoother = coarse_factor = None
     if coarse_solver == "l1_jacobi":

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -29,7 +29,7 @@ import numpy as np
 
 from .amg import CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
 from .krylov import KrylovConfig, solve
-from .optimize import gamma_cheb4, lambda_of, load_beta_tables, optimal_a, params_csv_rows
+from .optimize import params_csv_rows
 from .problems import aniso2d_q1, poisson3d, spectral_synthetic
 from .smoothers import PolySmootherConfig, as_preconditioner, l1_jacobi_diag
 from .sparse import MAX_DENSE_N, read_matrix_market
@@ -88,14 +88,12 @@ def cmd_optimize(args):
 def cmd_bounds(args):
     if not 0 <= args.kmax <= 12:
         raise ConfigError("kmax must lie in 0..12")
-    betas = load_beta_tables()
     header = ["k", "gamma_cheb4", "lambda_1st", "gamma_opt4", "crossover"]
-    rows = []
-    for k in range(1, args.kmax + 1):
-        lam = lambda_of(k, optimal_a(k))
-        g4 = gamma_cheb4(k)
-        go4 = betas[k].gamma_value if k in betas else math.nan
-        rows.append([k, g4, lam, go4, int(lam < g4)])
+    rows = [
+        [r["k"], r["gamma_cheb4"], r["lambda_k"], r["gamma_opt4"],
+         int(r["lambda_k"] < r["gamma_cheb4"])]
+        for r in params_csv_rows(args.kmax)
+    ]
     with _output(args.output) as out:
         _write_rows(out, header, rows)
     return EXIT_OK
@@ -215,18 +213,7 @@ def run_solve(cfg):
             raise ConfigError(f"cannot build the AMG hierarchy: {exc}") from exc
         precond = as_vcycle_preconditioner(hierarchy)
     _, rep = solve(A, b, precond=precond, cfg=kcfg)
-    report = {
-        "config": cfg,
-        "solve": {
-            "iterations": rep.iterations,
-            "converged": rep.converged,
-            "final_relres": rep.final_relres,
-            "residual_history": rep.residual_history,
-            "spmv_count": rep.spmv_count,
-            "precond_count": rep.precond_count,
-            "breakdown": rep.breakdown,
-        },
-    }
+    report = {"config": cfg, "solve": dataclasses.asdict(rep)}
     if hierarchy is not None:
         report["hierarchy"] = hierarchy.summary()
     return report, rep

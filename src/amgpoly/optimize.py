@@ -19,20 +19,11 @@ from importlib import resources
 
 import numpy as np
 
-from .chebyshev import c1_coefficient, cheb1_eval, fourth_kind_basis
+from .chebyshev import cheb1_eval, fourth_kind_basis, smoothing_limit_at_zero
 
-
-@dataclass
-class OptimalParams:
-    """Per-degree record for the first-kind smoother."""
-
-    k: int
-    a_star: float
-    lambda_k: float
-    a_lower: float = math.nan
-    a_upper: float = math.nan
-    lam_lower: float = math.nan
-    lam_upper: float = math.nan
+# brent_root's absolute root tolerance and its cap on the number of steps
+_BRENT_XTOL = 1e-15
+_BRENT_MAXITER = 200
 
 
 @dataclass
@@ -58,7 +49,7 @@ def phi(k, x):
     return 8.0 * k * t ** (2 * k) + x * (t ** (4 * k) - 1.0)
 
 
-def brent_root(f, a, b, xtol=1e-15, maxiter=200):
+def brent_root(f, a, b):
     """Bracketed root via bisection + secant + inverse quadratic interpolation."""
     fa, fb = f(a), f(b)
     if fa * fb > 0.0:
@@ -69,14 +60,14 @@ def brent_root(f, a, b, xtol=1e-15, maxiter=200):
         return b
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fb * fc > 0.0:
             c, fc = a, fa
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * xtol
+        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * _BRENT_XTOL
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -116,13 +107,14 @@ def solve_a_star(k):
 def lambda_of(k, a):
     """max of the two branch values of the smoothing objective at endpoint a.
 
-    Left branch (the x -> 0+ limit on (0, a]) is 1/(2|c1|); right branch is
-    the value at x = 1, namely 1/(tau_k(y)^2 - 1) with y = (1+a)/(1-a).  At
-    a = a*_k the branches equi-oscillate and the value is Lambda_k.
+    Left branch (the x -> 0+ limit on (0, a], ``smoothing_limit_at_zero``)
+    is 1/(2|c1|); right branch is the value at x = 1, namely
+    1/(tau_k(y)^2 - 1) with y = (1+a)/(1-a).  At a = a*_k the branches
+    equi-oscillate and the value is Lambda_k.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    left = 1.0 / (2.0 * abs(c1_coefficient(a, k)))
+    left = smoothing_limit_at_zero(a, k)
     y = (1.0 + a) / (1.0 - a)
     tk = cheb1_eval(k, y)
     right = 1.0 / (tk * tk - 1.0)
@@ -149,13 +141,12 @@ def gamma_cheb4(k):
     return 3.0 / (4.0 * k * (k + 1))
 
 
-def evaluate_gamma_numeric(p, grid_size=20001, c1=None):
+def evaluate_gamma_numeric(p, c1, grid_size=20001):
     """Grid estimate of sup_{0 < x <= 1} x p(x)^2 / (1 - p(x)^2).
 
     ``p`` is any callable polynomial evaluator with p(0) = 1 and |p| < 1 on
-    (0, 1].  The analytic x -> 0+ limit 1/(2|p'(0)|) is included, with p'(0)
-    taken from ``c1`` when supplied and from a Richardson-extrapolated
-    central difference otherwise.
+    (0, 1], and ``c1`` its slope p'(0).  The analytic x -> 0+ limit
+    1/(2|c1|) is included.
     """
     grid = np.logspace(-8.0, 0.0, grid_size)
     vals = np.array([p(x) for x in grid])
@@ -163,11 +154,6 @@ def evaluate_gamma_numeric(p, grid_size=20001, c1=None):
         bad = grid[np.argmax(np.abs(vals) >= 1.0)]
         raise ValueError(f"|p| >= 1 inside (0, 1] at x={bad}")
     sup = float(np.max(grid * vals**2 / (1.0 - vals**2)))
-    if c1 is None:
-        h = 1e-5
-        d1 = (p(h) - p(-h)) / (2.0 * h)
-        d2 = (p(h / 2) - p(-h / 2)) / h
-        c1 = (4.0 * d2 - d1) / 3.0
     if c1 != 0.0:
         sup = max(sup, 1.0 / (2.0 * abs(c1)))
     return sup
@@ -344,14 +330,6 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
 # -- parameter tables -------------------------------------------------------
 
 
-def compute_optimal_params(k):
-    a = solve_a_star(k)
-    rec = OptimalParams(k=k, a_star=a, lambda_k=lambda_of(k, a))
-    if k >= 3:
-        rec.a_lower, rec.a_upper, rec.lam_lower, rec.lam_upper = theorem_bounds(k)
-    return rec
-
-
 @functools.cache
 def load_beta_tables():
     """Precomputed BetaTable records keyed by degree."""
@@ -371,23 +349,30 @@ def optimal_a(k):
 
 
 def params_csv_rows(kmax):
-    """Rows for the CSV export: per-degree parameters, bounds, and gammas."""
+    """The per-degree table for k = 1..kmax, one dict per degree.
+
+    Keys: ``k``, ``a_star``, ``lambda_k``, ``gamma_cheb4``, ``gamma_opt4``
+    (NaN past the shipped tables) and the ``theorem_bounds`` ``a_lower``,
+    ``a_upper``, ``lam_lower``, ``lam_upper`` (NaN for k < 3).
+    """
     betas = load_beta_tables()
     rows = []
     for k in range(1, kmax + 1):
-        rec = compute_optimal_params(k)
-        gamma_opt4 = betas[k].gamma_value if k in betas else math.nan
+        a = optimal_a(k)
+        a_lower, a_upper, lam_lower, lam_upper = (
+            theorem_bounds(k) if k >= 3 else (math.nan,) * 4
+        )
         rows.append(
             {
                 "k": k,
-                "a_star": rec.a_star,
-                "lambda_k": rec.lambda_k,
+                "a_star": a,
+                "lambda_k": lambda_of(k, a),
                 "gamma_cheb4": gamma_cheb4(k),
-                "gamma_opt4": gamma_opt4,
-                "a_lower": rec.a_lower,
-                "a_upper": rec.a_upper,
-                "lam_lower": rec.lam_lower,
-                "lam_upper": rec.lam_upper,
+                "gamma_opt4": betas[k].gamma_value if k in betas else math.nan,
+                "a_lower": a_lower,
+                "a_upper": a_upper,
+                "lam_lower": lam_lower,
+                "lam_upper": lam_upper,
             }
         )
     return rows

@@ -1,4 +1,4 @@
-"""Sparse CSR storage and the small dense toolbox used by the oracle paths.
+"""Sparse CSR storage, counted SpMV, a dense eigensolver and Matrix Market I/O.
 
 ``CsrMatrix`` is one scipy CSR matrix with checked structure: sorted,
 duplicate-free columns.  Every operator application of the solve phase
@@ -16,7 +16,6 @@ run-to-run deterministic.
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 # Largest dense n x n array the library assembles: the synthetic spectral
@@ -83,8 +82,12 @@ class CsrMatrix:
         """Wrap a scipy CSR matrix that nothing else holds, with no copy.
 
         ``m`` is canonicalized in place (duplicates summed, zeros dropped,
-        columns sorted) and then passes the constructor's checks.
+        columns sorted) and then passes the constructor's checks.  Any other
+        format raises ``TypeError``: its arrays would be read as another
+        matrix's CSR arrays (a CSC matrix's as its transpose's).
         """
+        if getattr(m, "format", None) != "csr":
+            raise TypeError(f"_adopt takes a scipy CSR matrix, not {type(m).__name__}")
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
@@ -139,12 +142,13 @@ class CsrMatrix:
     def matvec(self, x):
         return spmv(self, x)
 
-    def is_symmetric(self, rtol=1e-13):
+    def is_symmetric(self):
+        """Square, with |a_ij - a_ji| <= 1e-13 max(max |a_ij|, 1) everywhere."""
         if self.nrows != self.ncols:
             return False
         d = self.to_scipy() - self.to_scipy().T
         scale = max(np.max(np.abs(self.values)), 1.0) if self.nnz else 1.0
-        return d.nnz == 0 or np.max(np.abs(d.data)) <= rtol * scale
+        return d.nnz == 0 or np.max(np.abs(d.data)) <= 1e-13 * scale
 
 
 def spmv(A, x):
@@ -171,7 +175,7 @@ def fused_update(rho, rho_prev, two_rho_over_delta, s, r, d, x):
     x += d
 
 
-# -- dense oracle toolbox ---------------------------------------------------
+# -- dense symmetric eigensolve ---------------------------------------------
 
 
 def _check_symmetric(S):
@@ -185,62 +189,19 @@ def _check_symmetric(S):
 
 
 def dense_sym_eig(S):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric S.
-
-    Backed by LAPACK; ``jacobi_sym_eig`` provides the self-contained
-    cross-check used in the test suite.
-    """
-    S = _check_symmetric(S)
-    w, v = np.linalg.eigh(S)
+    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric S (LAPACK)."""
+    w, v = np.linalg.eigh(_check_symmetric(S))
     return w, v
 
 
-def jacobi_sym_eig(S, max_sweeps=100, tol=1e-12):
-    """Cyclic Jacobi rotations; independent of the LAPACK path.
-
-    Intended for small oracle matrices only (cost grows as n^3 per sweep with
-    Python-level rotation loop).
-    """
-    A = _check_symmetric(S).copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return np.zeros(n), V
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(A**2) - np.sum(np.diag(A) ** 2))
-        if off <= tol * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                rot_p = c * V[:, p] - s * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    w = np.diag(A).copy()
-    order = np.argsort(w)
-    return w[order], V[:, order]
-
-
 # -- Matrix Market I/O ------------------------------------------------------
+# scipy.io is imported on first use, so ``import amgpoly`` does not load it.
 
 
 def read_matrix_market(path):
     """Read a coordinate Matrix Market file; symmetric storage is expanded."""
+    import scipy.io
+
     m = scipy.io.mmread(path)
     if not scipy.sparse.issparse(m):
         m = scipy.sparse.csr_matrix(m)
@@ -248,6 +209,8 @@ def read_matrix_market(path):
 
 
 def write_matrix_market(path, A, symmetric=False):
+    import scipy.io
+
     m = A.to_scipy()
     if symmetric:
         scipy.io.mmwrite(path, scipy.sparse.tril(m), symmetry="symmetric")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amgpoly.amg import (
+    POWER_STEPS,
     CoarseningConfig,
     as_vcycle_preconditioner,
     build_hierarchy,
@@ -137,6 +138,21 @@ class TestEstimateLambdaMax:
         est = estimate_lambda_max(A, A.diagonal())
         assert abs(est - exact) <= 0.05 * exact
 
+    def test_rayleigh_quotient_of_the_last_step(self):
+        # bit for bit the quotient of a plain power iteration's last step,
+        # one SpMV per step
+        A = poisson2d_5pt(9)
+        d = A.diagonal()
+        ds = np.sqrt(d)
+        v = np.ones(A.nrows) + np.random.default_rng(0).uniform(-0.5, 0.5, A.nrows)
+        for _ in range(POWER_STEPS):
+            w = (A.to_scipy() @ (v / ds)) / ds
+            lam = float(v @ w) / float(v @ v)
+            v = w / np.linalg.norm(w)
+        reset_spmv_count()
+        assert estimate_lambda_max(A, d) == lam
+        assert spmv_count() == POWER_STEPS
+
     def test_poisson3d_band(self):
         A, _ = poisson3d(4)
         est = estimate_lambda_max(A, A.diagonal())
@@ -145,25 +161,45 @@ class TestEstimateLambdaMax:
         assert 0.5 * exact <= est <= 1.05 * exact
 
 
+def rap(A, P):
+    return galerkin_rap(A, P, P.transpose())
+
+
 class TestGalerkinRap:
     def test_identity_prolongator(self):
         A = tridiag(5)
-        assert np.array_equal(galerkin_rap(A, CsrMatrix.identity(5)).to_dense(), A.to_dense())
+        assert np.array_equal(rap(A, CsrMatrix.identity(5)).to_dense(), A.to_dense())
 
     def test_ones_column(self):
         A = tridiag(3)
         P = CsrMatrix.from_dense(np.ones((3, 1)))
-        assert galerkin_rap(A, P).to_dense()[0, 0] == pytest.approx(2.0)
+        assert rap(A, P).to_dense()[0, 0] == pytest.approx(2.0)
 
     def test_congruence_preserves_spd(self, rng):
         A = random_spd(12, seed=4)
         P = CsrMatrix.from_dense(rng.standard_normal((12, 5)))
-        Ac = galerkin_rap(A, P).to_dense()
+        Ac = rap(A, P).to_dense()
         assert np.min(np.linalg.eigvalsh(Ac)) > 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            galerkin_rap(tridiag(4), CsrMatrix.identity(5))
+            rap(tridiag(4), CsrMatrix.identity(5))
+        with pytest.raises(ValueError):  # R does not map the fine level
+            galerkin_rap(tridiag(4), CsrMatrix.identity(4), CsrMatrix.identity(5))
+
+    def test_bits_of_the_transposed_product(self):
+        # aniso2d's fine operator is symmetric only to rounding, so A^T and A
+        # give different bits; the product keeps those of P.T @ A @ P
+        A, _ = aniso2d_q1(32, 100.0, math.pi / 6)
+        Asp = A.to_scipy()
+        assert (Asp != Asp.T).nnz > 0
+        P = build_hierarchy(A, max_levels=2).levels[0].P
+        ref = P.to_scipy().T @ Asp @ P.to_scipy()
+        ref = ((ref + ref.T) * 0.5).tocsr()
+        ref.eliminate_zeros()
+        Ac = rap(A, P)
+        assert Ac.nnz == ref.nnz
+        assert Ac.to_dense().tobytes() == ref.toarray().tobytes()
 
 
 class TestBuildHierarchy:
@@ -184,7 +220,8 @@ class TestBuildHierarchy:
         A, _ = poisson3d(6)
         h = build_hierarchy(A, min_coarse_size=20)
         for fine, coarse in zip(h.levels, h.levels[1:]):
-            recomputed = galerkin_rap(fine.A, fine.P).to_dense()
+            assert np.array_equal(fine.R.to_dense(), fine.P.to_dense().T)
+            recomputed = galerkin_rap(fine.A, fine.P, fine.R).to_dense()
             have = coarse.A.to_dense()
             assert np.linalg.norm(recomputed - have) <= 1e-12 * np.linalg.norm(have)
 
@@ -228,7 +265,7 @@ class TestBuildHierarchy:
     def test_summary_json_roundtrip(self):
         A, _ = poisson3d(4)
         h = build_hierarchy(A, min_coarse_size=10)
-        s = json.loads(h.summary_json())
+        s = json.loads(json.dumps(h.summary(), indent=2))
         assert s["levels"][0]["size"] == 64
         assert s["operator_complexity"] >= 1.0
 

@@ -163,6 +163,21 @@ class TestBoundsCommand:
         # one part in a hundred of each other and the first kind is above
         assert [rows[k]["crossover"] for k in range(1, 5)] == ["1"] * 4
 
+    def test_columns_match_optimize(self, tmp_path):
+        b, o = tmp_path / "b.csv", tmp_path / "o.csv"
+        main(["bounds", "--kmax", "12", "-o", str(b)])
+        main(["optimize", "--kmax", "12", "-o", str(o)])
+        bounds = list(csv.DictReader(b.open()))
+        params = list(csv.DictReader(o.open()))
+        assert [r["k"] for r in bounds] == [str(k) for k in range(1, 13)]
+        for rb, ro in zip(bounds, params, strict=True):
+            assert rb["k"] == ro["k"]
+            assert rb["gamma_cheb4"] == ro["gamma_cheb4"]
+            assert rb["lambda_1st"] == ro["lambda_k"]
+            assert rb["gamma_opt4"] == ro["gamma_opt4"]
+            crossover = float(ro["lambda_k"]) < float(ro["gamma_cheb4"])
+            assert rb["crossover"] == str(int(crossover))
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["bounds", "--kmax", "5", "-o", str(a)])
@@ -182,6 +197,10 @@ class TestSolveCommand:
         assert main(args + ["-o", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
         report = json.loads(a.read_text())
+        assert list(report["solve"]) == [
+            "iterations", "converged", "final_relres", "residual_history",
+            "spmv_count", "precond_count", "breakdown",
+        ]
         assert report["solve"]["converged"] is True
         assert report["hierarchy"]["levels"][0]["size"] == 216
 

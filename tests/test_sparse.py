@@ -1,21 +1,66 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amgpoly
 from amgpoly.problems import poisson3d
 from amgpoly.sparse import (
     CsrMatrix,
     dense_sym_eig,
     fused_update,
-    jacobi_sym_eig,
     read_matrix_market,
     spmv,
     write_matrix_market,
 )
 
 from conftest import random_spd, tridiag
+
+
+def jacobi_sym_eig(S, max_sweeps=100, tol=1e-12):
+    """Cyclic Jacobi rotations: an eigensolver independent of LAPACK.
+
+    For small oracle matrices only (cost grows as n^3 per sweep with a
+    Python-level rotation loop).
+    """
+    A = np.array(S, dtype=np.float64)
+    n = A.shape[0]
+    V = np.eye(n)
+    fro = np.linalg.norm(A)
+    if fro == 0.0:
+        return np.zeros(n), V
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.sum(A**2) - np.sum(np.diag(A) ** 2))
+        if off <= tol * fro:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p = c * A[:, p] - s * A[:, q]
+                rot_q = s * A[:, p] + c * A[:, q]
+                A[:, p], A[:, q] = rot_p, rot_q
+                rot_p = c * A[p, :] - s * A[q, :]
+                rot_q = s * A[p, :] + c * A[q, :]
+                A[p, :], A[q, :] = rot_p, rot_q
+                rot_p = c * V[:, p] - s * V[:, q]
+                rot_q = s * V[:, p] + c * V[:, q]
+                V[:, p], V[:, q] = rot_p, rot_q
+    w = np.diag(A).copy()
+    order = np.argsort(w)
+    return w[order], V[:, order]
 
 
 class TestCsrMatrix:
@@ -79,6 +124,12 @@ class TestCsrMatrix:
         m = scipy.sparse.csr_matrix(np.eye(2))
         m.indices[1] = 5  # out of range, left as it is by canonicalization
         with pytest.raises(ValueError, match="ncols"):
+            CsrMatrix._adopt(m)
+
+    def test_adopt_rejects_other_formats(self):
+        # a CSC matrix's arrays read as CSR are its transpose's
+        m = scipy.sparse.csc_matrix(np.array([[2.0, -1.0], [0.0, 3.0]]))
+        with pytest.raises(TypeError, match="CSR"):
             CsrMatrix._adopt(m)
 
     def test_transpose_does_not_alias(self):
@@ -215,3 +266,12 @@ class TestMatrixMarket:
         B = read_matrix_market(p)
         assert B.nnz == A.nnz
         assert np.array_equal(A.to_dense(), B.to_dense())
+
+    def test_import_leaves_scipy_io_unloaded(self):
+        src = os.path.dirname(os.path.dirname(amgpoly.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, amgpoly; print('scipy.io' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
