@@ -37,7 +37,6 @@ from .krylov import KrylovConfig, SolveReport, solve
 from .optimize import (
     BetaTable,
     brent_root,
-    evaluate_gamma_numeric,
     gamma_cheb4,
     lambda_of,
     load_beta_tables,
@@ -57,6 +56,7 @@ from .smoothers import (
     smoother_apply,
     smoother_error_apply,
     smoother_error_oracle,
+    smoothing_constant,
 )
 from .sparse import (
     CsrMatrix,

@@ -30,16 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
-from .optimize import evaluate_gamma_numeric
 from .smoothers import (
     PolySmootherConfig,
     _smooth_steps,
-    error_polynomial_coeffs,
     l1_jacobi_diag,
     smoother_apply,
+    smoothing_constant,
 )
 from .sparse import MAX_DENSE_N, CsrMatrix, dense_sym_eig, spmv
 
@@ -244,8 +242,8 @@ def matching_aggregate(A, sweeps=3):
     return _aggregates_to_prolongator(n0, agg, int(agg.max()) + 1)
 
 
-def estimate_lambda_max(A, d):
-    """Power-iteration estimate of the largest eigenvalue of D^-1 A.
+def estimate_lambda_max(A):
+    """Power-iteration estimate of the largest eigenvalue of D^-1 A, D = diag(A).
 
     Runs ``POWER_STEPS`` steps on the similar symmetric operator
     D^-1/2 A D^-1/2 and returns the Rayleigh quotient of the last one, which
@@ -255,6 +253,7 @@ def estimate_lambda_max(A, d):
     mode and the iteration would stall on a lower eigenvalue.  The seed is
     fixed, so the estimate is deterministic.
     """
+    d = A.diagonal()
     if np.any(d <= 0.0):
         raise ValueError("diagonal must be positive")
     ds = np.sqrt(d)
@@ -338,8 +337,7 @@ def build_hierarchy(
         else:
             P_hat = matching_aggregate(Al, coarsening.matching_sweeps)
         if coarsening.prolongator_smoothing:
-            d = Al.diagonal()
-            lam = estimate_lambda_max(Al, d)
+            lam = estimate_lambda_max(Al)
             P = smooth_prolongator(Al, P_hat, 4.0 / (3.0 * lam))
         else:
             P = P_hat
@@ -362,8 +360,10 @@ def build_hierarchy(
             raise ValueError(
                 f"dense_direct coarsest level has {Ac.nrows} rows, more than {MAX_DENSE_N}"
             )
+        from scipy.linalg import cho_factor  # only dense_direct loads scipy.linalg
+
         try:
-            coarse_factor = scipy.linalg.cho_factor(Ac.to_dense(), lower=True)
+            coarse_factor = cho_factor(Ac.to_dense(), lower=True)
         except np.linalg.LinAlgError as exc:  # non-positive pivot
             raise ValueError("dense_direct coarsest level is not positive definite") from exc
     return AmgHierarchy(
@@ -380,7 +380,9 @@ def build_hierarchy(
 def _coarse_solve(h, r):
     level = h.levels[-1]
     if h.coarse_factor is not None:
-        return scipy.linalg.cho_solve(h.coarse_factor, r)
+        from scipy.linalg import cho_solve
+
+        return cho_solve(h.coarse_factor, r)
     return smoother_apply(h.coarse_smoother, level.A, level.M, r)
 
 
@@ -417,7 +419,7 @@ def two_level_constants(A, P, M, smoother):
     Returns (C, gamma, bound, actual_E_norm_sq):
       C      largest generalized eigenvalue of (T A T, B) with
              T = A^-1 - P Ac^-1 P^T and B the l1-Jacobi diagonal,
-      gamma  numeric smoothing constant of the smoother's polynomial,
+      gamma  the smoother's ``smoothing_constant``,
       bound  C/(C + 1/gamma), reducing to C/(C + 2k) for k plain sweeps,
       actual the A-norm squared of E = G^T (I - P Ac^-1 P^T A) G.
     """
@@ -436,18 +438,8 @@ def two_level_constants(A, P, M, smoother):
     S = (S + S.T) * 0.5
     C = float(np.max(dense_sym_eig(S)[0]))
 
-    coef = error_polynomial_coeffs(smoother)
-
-    def p_eval(x):
-        return float(np.polynomial.polynomial.polyval(x, coef))
-
-    if smoother.family == "l1_jacobi":
-        inv_gamma = 2.0 * smoother.degree
-        gamma = 1.0 / inv_gamma
-    else:
-        gamma = evaluate_gamma_numeric(p_eval, grid_size=4001, c1=coef[1])
-        inv_gamma = 1.0 / gamma
-    bound = C / (C + inv_gamma)
+    gamma = smoothing_constant(smoother)
+    bound = C / (C + 1.0 / gamma)
 
     # E = G^T (I - P Ac^-1 P^T A) G, columns via the runtime smoother kernel
     G = np.empty((n, n))

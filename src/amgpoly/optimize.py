@@ -24,6 +24,9 @@ from .chebyshev import cheb1_eval, fourth_kind_basis, smoothing_limit_at_zero
 # brent_root's absolute root tolerance and its cap on the number of steps
 _BRENT_XTOL = 1e-15
 _BRENT_MAXITER = 200
+# optimize_beta's full grid on [1e-8, 1] and its cap on the number of levels
+BETA_GRID_SIZE = 20001
+BETA_MAX_ROUNDS = 60
 
 
 @dataclass
@@ -141,24 +144,6 @@ def gamma_cheb4(k):
     return 3.0 / (4.0 * k * (k + 1))
 
 
-def evaluate_gamma_numeric(p, c1, grid_size=20001):
-    """Grid estimate of sup_{0 < x <= 1} x p(x)^2 / (1 - p(x)^2).
-
-    ``p`` is any callable polynomial evaluator with p(0) = 1 and |p| < 1 on
-    (0, 1], and ``c1`` its slope p'(0).  The analytic x -> 0+ limit
-    1/(2|c1|) is included.
-    """
-    grid = np.logspace(-8.0, 0.0, grid_size)
-    vals = np.array([p(x) for x in grid])
-    if np.any(np.abs(vals) >= 1.0):
-        bad = grid[np.argmax(np.abs(vals) >= 1.0)]
-        raise ValueError(f"|p| >= 1 inside (0, 1] at x={bad}")
-    sup = float(np.max(grid * vals**2 / (1.0 - vals**2)))
-    if c1 != 0.0:
-        sup = max(sup, 1.0 / (2.0 * abs(c1)))
-    return sup
-
-
 # -- optimized fourth-kind coefficients -------------------------------------
 
 
@@ -192,7 +177,7 @@ def _local_maxima(v):
     return np.flatnonzero(left & right)
 
 
-def optimize_beta(k, grid_size=20001, max_rounds=60):
+def optimize_beta(k):
     """Grid minimax for the optimized fourth-kind coefficient table.
 
     The objective F(beta) = max_x x p(x)^2/(1-p(x)^2) is convex in beta (p
@@ -215,7 +200,7 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
     soon sits much closer to t* than lo does; after a level that did not
     halve the bracket it is the midpoint, which always does.  The search
     stops when hi - lo <= 1e-5 hi, the resolution at which the thresholds
-    below decide a level.  ``max_rounds`` caps the number of levels; a
+    below decide a level.  ``BETA_MAX_ROUNDS`` caps the number of levels; a
     bracket still open after it raises RuntimeError, as does an LP that
     HiGHS fails to solve (the slack LP is always feasible and bounded, so a
     failure is numerical).
@@ -250,11 +235,11 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
         raise ValueError("beta tables supported for 1 <= k <= 12")
     from scipy.optimize import linprog
 
-    full_grid = np.logspace(-8.0, 0.0, grid_size)
+    full_grid = np.logspace(-8.0, 0.0, BETA_GRID_SIZE)
     full_base, full_basis = _beta_basis(k, full_grid)
     # The search runs on a thinned constraint grid; the attained value is
     # always reported on the full grid.
-    grid = np.logspace(-8.0, 0.0, min(grid_size, 6001))
+    grid = np.logspace(-8.0, 0.0, min(BETA_GRID_SIZE, 6001))
     base, basis = _beta_basis(k, grid)
     c = np.zeros(k + 1)
     c[-1] = 1.0
@@ -303,10 +288,10 @@ def optimize_beta(k, grid_size=20001, max_rounds=60):
     halve = False
     rounds = 0
     while hi - lo > 1e-5 * hi:
-        if rounds == max_rounds:
+        if rounds == BETA_MAX_ROUNDS:
             raise RuntimeError(
                 f"optimize_beta({k}): bracket [{lo:.17g}, {hi:.17g}] still open "
-                f"after max_rounds={max_rounds} levels"
+                f"after BETA_MAX_ROUNDS={BETA_MAX_ROUNDS} levels"
             )
         width = hi - lo
         t = hi - (0.5 if halve else 0.25) * width

@@ -1,4 +1,4 @@
-"""Runtime smoother kernels and the brute-force error-polynomial oracle.
+"""Runtime smoother kernels, smoothing constants and the error-polynomial oracle.
 
 Every family damps the error as e_out = p(M^-1 A) e_in for its polynomial p,
 with M the l1-Jacobi diagonal, for which the spectrum of M^-1 A lies in
@@ -25,7 +25,8 @@ config builds its table once, when it is made.  The families:
 
 ``error_polynomial_coeffs`` and the oracle are built from the polynomials
 p above, never from the step table, so that comparing the kernel against
-them checks the table.
+them checks the table.  ``smoothing_constant`` is each family's gamma in
+the V-cycle bound C/(C + 1/gamma), read from its closed form or table.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .chebyshev import ScaledChebParams, fourth_kind_basis, scaled_cheb_eval
-from .optimize import BetaTable, load_beta_tables, optimal_a
+from .optimize import BetaTable, gamma_cheb4, lambda_of, load_beta_tables, optimal_a
 from .sparse import CsrMatrix
 
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
@@ -170,6 +171,23 @@ def _smooth_steps(config, A, M, x, r):
         if j < config.degree:  # final residual is not consumed
             r -= A.matvec(d)
     return x
+
+
+def smoothing_constant(config):
+    """The family's smoothing constant gamma = sup_{0 < t <= 1} t p(t)^2/(1 - p(t)^2).
+
+    The closed form or shipped value of each family: 1/(2k) for k plain
+    sweeps, 3/(4k(k+1)) for cheb4, the beta table's ``gamma_value`` for
+    opt_cheb4 and Lambda_k at the config's endpoint a for opt_cheb1.
+    """
+    k = config.degree
+    if config.family == "l1_jacobi":
+        return 1.0 / (2.0 * k)
+    if config.family == "cheb4":
+        return gamma_cheb4(k)
+    if config.family == "opt_cheb4":
+        return config.beta.gamma_value
+    return lambda_of(k, config.a)
 
 
 def error_polynomial_coeffs(config):

@@ -162,10 +162,14 @@ def spmv(A, x):
 
 
 def fused_update(rho, rho_prev, two_rho_over_delta, s, r, d, x):
-    """Single-pass update  r -= s;  d = rho*rho_prev*d + c*r;  x += d.
+    """The update  r -= s;  d = rho*rho_prev*d + c*r;  x += d,  in place.
 
-    Mutates r, d, x in place. The arithmetic per element is identical (and
-    bitwise so) to issuing the three vector operations separately.
+    Not fused: it runs four numpy statements (r -= s, d *= rho*rho_prev,
+    d += c*r, x += d), five passes over the vectors counting the temporary
+    c*r, each element's arithmetic bitwise that of the three vector
+    expressions above.  No solver calls it; its only caller is the
+    determinism check ``test_12_kernel_determinism`` in
+    ``tests/test_acceptance.py``.
     """
     if not (len(s) == len(r) == len(d) == len(x)):
         raise ValueError("fused_update: vector length mismatch")

@@ -36,6 +36,24 @@ def linear_interp_1d(n):
     return CsrMatrix.from_dense(P)
 
 
+def evaluate_gamma_numeric(p, c1, grid_size=20001):
+    """Grid oracle for a smoothing constant: sup_{0 < x <= 1} x p(x)^2 / (1 - p(x)^2).
+
+    ``p`` evaluates the polynomial on an array of points, with p(0) = 1 and
+    |p| < 1 on (0, 1]; ``c1`` is its slope p'(0).  The analytic x -> 0+
+    limit 1/(2|c1|) is included.
+    """
+    grid = np.logspace(-8.0, 0.0, grid_size)
+    vals = np.asarray(p(grid), dtype=np.float64)
+    if np.any(np.abs(vals) >= 1.0):
+        bad = grid[np.argmax(np.abs(vals) >= 1.0)]
+        raise ValueError(f"|p| >= 1 inside (0, 1] at x={bad}")
+    sup = float(np.max(grid * vals**2 / (1.0 - vals**2)))
+    if c1 != 0.0:
+        sup = max(sup, 1.0 / (2.0 * abs(c1)))
+    return sup
+
+
 def random_spd(n, seed=0, shift=0.0):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))

@@ -22,8 +22,15 @@ from amgpoly.amg import (
     two_level_constants,
     vcycle_apply,
 )
+from amgpoly.krylov import KrylovConfig, solve
 from amgpoly.problems import aniso2d_q1, poisson3d
-from amgpoly.smoothers import FAMILIES, PolySmootherConfig, l1_jacobi_diag, smoother_apply
+from amgpoly.smoothers import (
+    FAMILIES,
+    PolySmootherConfig,
+    l1_jacobi_diag,
+    smoother_apply,
+    smoothing_constant,
+)
 from amgpoly.sparse import CsrMatrix, reset_spmv_count, spmv, spmv_count
 
 from conftest import (
@@ -130,12 +137,12 @@ class TestSmoothProlongator:
 class TestEstimateLambdaMax:
     def test_exact_for_identity_scaled(self):
         A = CsrMatrix.from_dense(np.diag([2.0, 3.0, 4.0]))
-        assert estimate_lambda_max(A, A.diagonal()) == pytest.approx(1.0)
+        assert estimate_lambda_max(A) == pytest.approx(1.0)
 
     def test_tridiag_within_5_percent(self):
         A = tridiag(50)
         exact = 1.0 + np.cos(np.pi / 51.0)
-        est = estimate_lambda_max(A, A.diagonal())
+        est = estimate_lambda_max(A)
         assert abs(est - exact) <= 0.05 * exact
 
     def test_rayleigh_quotient_of_the_last_step(self):
@@ -150,12 +157,12 @@ class TestEstimateLambdaMax:
             lam = float(v @ w) / float(v @ v)
             v = w / np.linalg.norm(w)
         reset_spmv_count()
-        assert estimate_lambda_max(A, d) == lam
+        assert estimate_lambda_max(A) == lam
         assert spmv_count() == POWER_STEPS
 
     def test_poisson3d_band(self):
         A, _ = poisson3d(4)
-        est = estimate_lambda_max(A, A.diagonal())
+        est = estimate_lambda_max(A)
         exact = np.max(np.linalg.eigvalsh(A.to_dense())) / 6.0
         assert 1.5 <= est <= 2.0
         assert 0.5 * exact <= est <= 1.05 * exact
@@ -255,6 +262,24 @@ class TestBuildHierarchy:
         A = CsrMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="positive definite"):
             build_hierarchy(A, coarse_solver="dense_direct")
+
+    @pytest.mark.parametrize("kind", ["smoothed_aggregation", "pairwise_matching"])
+    def test_unsmoothed_prolongator_is_tentative(self, kind):
+        A, b = poisson3d(12)
+        coarsening = CoarseningConfig(kind=kind, prolongator_smoothing=False)
+        h = build_hierarchy(A, coarsening=coarsening)
+        assert len(h.levels) >= 2
+        for level in h.levels[:-1]:
+            if kind == "smoothed_aggregation":
+                P_hat = sa_aggregate(level.A, coarsening.strength_theta)
+            else:
+                P_hat = matching_aggregate(level.A, coarsening.matching_sweeps)
+            assert np.array_equal(level.P.to_dense(), P_hat.to_dense())
+            assert np.array_equal(np.diff(level.P.row_ptr), np.ones(level.A.nrows))
+            assert np.array_equal(level.P.values, np.ones(level.A.nrows))
+        x, rep = solve(A, b, precond=as_vcycle_preconditioner(h), cfg=KrylovConfig(tol=1e-7))
+        assert rep.converged
+        assert np.linalg.norm(b - A.matvec(x)) <= 1e-7 * np.linalg.norm(b)
 
     def test_built_hierarchy_is_frozen(self):
         A, _ = poisson3d(4)
@@ -437,6 +462,14 @@ class TestTwoLevelConstants:
         C, gamma, bound, actual = two_level_constants(A, P, M, cfg)
         assert gamma == pytest.approx(0.112015284483472, rel=1e-4)
         assert actual <= C / (C + 1.0 / 0.112015284483472) + 1e-8
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gamma_is_smoothing_constant(self, family):
+        A = tridiag(16)
+        cfg = PolySmootherConfig(family=family, degree=3)
+        C, gamma, bound, _ = two_level_constants(A, linear_interp_1d(16), l1_jacobi_diag(A), cfg)
+        assert gamma == smoothing_constant(cfg)
+        assert bound == C / (C + 1.0 / gamma)
 
     def test_bound_ordering_matches_gamma_ordering(self):
         A = poisson2d_5pt(8)

@@ -204,6 +204,20 @@ class TestSolveCommand:
         assert report["solve"]["converged"] is True
         assert report["hierarchy"]["levels"][0]["size"] == 216
 
+    @pytest.mark.parametrize("coarsening", ["smoothed_aggregation", "pairwise_matching"])
+    def test_unsmoothed_prolongator_converges(self, coarsening, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main([
+            "solve",
+            "--override", "m=12",
+            "--override", f"coarsening={coarsening}",
+            "--override", "prolongator_smoothing=false",
+            "-o", str(out),
+        ]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["config"]["prolongator_smoothing"] == "false"
+        assert report["solve"]["converged"] is True
+
     def test_itmax_one_not_converged(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         args = ["solve", "--override", "m=8", "--override", "itmax=1", "-o", str(out)]

@@ -6,12 +6,12 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amgpoly.chebyshev import ScaledChebParams, cheb4_eval, scaled_cheb_eval
+from amgpoly import optimize
+from amgpoly.chebyshev import ScaledChebParams, fourth_kind_basis, scaled_cheb_eval
 from amgpoly.optimize import (
     _beta_basis,
     _beta_objective,
     brent_root,
-    evaluate_gamma_numeric,
     gamma_cheb4,
     lambda_of,
     load_beta_tables,
@@ -22,6 +22,8 @@ from amgpoly.optimize import (
     solve_a_star,
     theorem_bounds,
 )
+
+from conftest import evaluate_gamma_numeric
 
 A_STAR_REFERENCE = {
     1: 0.3333333333333333,
@@ -158,7 +160,7 @@ class TestEvaluateGammaNumeric:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_fourth_kind_constant(self, k):
-        p = lambda x: cheb4_eval(k, 1.0 - 2.0 * x) / (2 * k + 1)
+        p = lambda x: fourth_kind_basis(1.0 - 2.0 * x, k)[k] / (2 * k + 1)
         got = evaluate_gamma_numeric(p, c1=-2.0 * k * (k + 1) / 3.0)
         assert got == pytest.approx(gamma_cheb4(k), rel=1e-6)
 
@@ -229,9 +231,10 @@ def optimize_beta_full_grid(k, grid_size=20001, max_rounds=60):
 
 class TestWorkingSet:
     @pytest.mark.parametrize("k", [1, 2, 5, 9, 12])
-    def test_matches_full_grid_bisection(self, k):
+    def test_matches_full_grid_bisection(self, k, monkeypatch):
         beta, gamma = optimize_beta_full_grid(k, grid_size=2001)
-        bt = optimize_beta(k, grid_size=2001)
+        monkeypatch.setattr(optimize, "BETA_GRID_SIZE", 2001)
+        bt = optimize_beta(k)
         assert bt.gamma_value == pytest.approx(gamma, rel=1e-5)
         assert bt.beta == pytest.approx(beta, rel=1e-5)
 
@@ -259,15 +262,17 @@ class TestWorkingSet:
         with pytest.raises(RuntimeError, match="status 4.*numerical difficulties"):
             optimize_beta(4)
 
-    def test_open_bracket_raises(self):
+    def test_open_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(optimize, "BETA_MAX_ROUNDS", 1)
         with pytest.raises(RuntimeError, match="still open"):
-            optimize_beta(4, max_rounds=1)
+            optimize_beta(4)
 
     @pytest.mark.parametrize("k", range(1, 13))
-    def test_bracket_closes_before_max_rounds(self, k):
+    def test_bracket_closes_before_max_rounds(self, k, monkeypatch):
         # the search takes at most 11 levels (k = 1); the default cap of 60
         # must never be what ends it
-        optimize_beta(k, max_rounds=30)
+        monkeypatch.setattr(optimize, "BETA_MAX_ROUNDS", 30)
+        optimize_beta(k)
 
 
 class TestDataAssets:

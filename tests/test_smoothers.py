@@ -18,11 +18,12 @@ from amgpoly.smoothers import (
     smoother_apply,
     smoother_error_apply,
     smoother_error_oracle,
+    smoothing_constant,
     step_coefficients,
 )
 from amgpoly.sparse import CsrMatrix, reset_spmv_count, spmv_count
 
-from conftest import random_spd, tridiag
+from conftest import evaluate_gamma_numeric, random_spd, tridiag
 
 
 class TestL1Diag:
@@ -255,6 +256,26 @@ class TestErrorPolynomial:
     def test_normalized_at_zero(self, family):
         cfg = PolySmootherConfig(family=family, degree=4)
         assert error_polynomial_coeffs(cfg)[0] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestSmoothingConstant:
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_grid_oracle(self, family, k):
+        # the sup of t p(t)^2/(1 - p(t)^2) over 20001 points and the t -> 0+
+        # limit, with p from its monomial coefficients, not the closed forms
+        cfg = PolySmootherConfig(family=family, degree=k)
+        coef = error_polynomial_coeffs(cfg)
+        grid = evaluate_gamma_numeric(lambda t: np.polynomial.polynomial.polyval(t, coef),
+                                      c1=coef[1])
+        assert smoothing_constant(cfg) == pytest.approx(grid, rel=1e-6)
+
+    def test_opt_cheb1_reads_the_config_endpoint(self):
+        cfg = PolySmootherConfig(family="opt_cheb1", degree=4, a=0.1)
+        coef = error_polynomial_coeffs(cfg)
+        grid = evaluate_gamma_numeric(lambda t: np.polynomial.polynomial.polyval(t, coef),
+                                      c1=coef[1])
+        assert smoothing_constant(cfg) == pytest.approx(grid, rel=1e-6)
 
 
 class TestOracleEquivalence:

@@ -268,10 +268,19 @@ class TestMatrixMarket:
         assert np.array_equal(A.to_dense(), B.to_dense())
 
     def test_import_leaves_scipy_io_unloaded(self):
-        src = os.path.dirname(os.path.dirname(amgpoly.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, amgpoly; print('scipy.io' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert not loaded_by_import_amgpoly("scipy.io")
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # only coarse_solver=dense_direct needs it, and imports it itself
+        assert not loaded_by_import_amgpoly("scipy.linalg")
+
+
+def loaded_by_import_amgpoly(module):
+    """Whether ``import amgpoly`` in a fresh interpreter loads ``module``."""
+    src = os.path.dirname(os.path.dirname(amgpoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import sys, amgpoly; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip() == "True"
