@@ -32,13 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .smoothers import (
-    PolySmootherConfig,
-    _smooth_steps,
-    l1_jacobi_diag,
-    smoother_apply,
-    smoothing_constant,
-)
+from .smoothers import PolySmootherConfig, l1_jacobi_diag, smoother_apply, smoothing_constant
 from .sparse import MAX_DENSE_N, CsrMatrix, dense_sym_eig, spmv
 
 # Power-iteration steps of estimate_lambda_max
@@ -377,33 +371,27 @@ def build_hierarchy(
 # -- V-cycle ----------------------------------------------------------------
 
 
-def _coarse_solve(h, r):
-    level = h.levels[-1]
-    if h.coarse_factor is not None:
-        from scipy.linalg import cho_solve
-
-        return cho_solve(h.coarse_factor, r)
-    return smoother_apply(h.coarse_smoother, level.A, level.M, r)
-
-
 def vcycle_apply(h, r, _level=0):
     """One symmetric V-cycle applied to a residual; returns the correction.
 
-    The pre-smoother starts from a zero guess, so a level with a degree-k
-    smoother costs 2k SpMVs on its operator: k - 1 pre-smoothing, one
-    residual and k post-smoothing.
+    Every smoothing (pre, post and the l1-Jacobi coarse solve) is one
+    ``smoother_apply`` call.  The pre-smoother starts from a zero guess, so
+    a level with a degree-k smoother costs 2k SpMVs on its operator: k - 1
+    pre-smoothing, one residual and k post-smoothing.
     """
-    if len(r) != h.levels[_level].A.nrows:
+    level = h.levels[_level]
+    if len(r) != level.A.nrows:
         raise ValueError("dimension mismatch")
     if _level == len(h.levels) - 1:
-        return _coarse_solve(h, r)
-    level = h.levels[_level]
+        if h.coarse_factor is not None:
+            from scipy.linalg import cho_solve
+
+            return cho_solve(h.coarse_factor, r)
+        return smoother_apply(h.coarse_smoother, level.A, level.M, r)
     x = smoother_apply(level.smoother, level.A, level.M, r)
-    resid = r - spmv(level.A, x)
-    rc = spmv(level.R, resid)
-    xc = vcycle_apply(h, rc, _level + 1)
-    x += spmv(level.P, xc)
-    return _smooth_steps(level.smoother, level.A, level.M, x, r - spmv(level.A, x))
+    rc = spmv(level.R, r - spmv(level.A, x))
+    x += spmv(level.P, vcycle_apply(h, rc, _level + 1))
+    return smoother_apply(level.smoother, level.A, level.M, r, x)
 
 
 def as_vcycle_preconditioner(h):

@@ -64,7 +64,11 @@ def _output(path):
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w") as out:
+        try:
+            out = open(path, "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        with out:
             yield out
 
 
@@ -130,7 +134,7 @@ def parse_config(path, overrides):
     seen = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line or line.startswith("#"):
@@ -139,7 +143,7 @@ def parse_config(path, overrides):
                         raise ConfigError(f"{path}:{lineno}: expected key = value")
                     key, _, val = line.partition("=")
                     seen[key.strip()] = val.strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides or []:
         if "=" not in item:

@@ -138,15 +138,6 @@ def smoother_apply(config, A, M, b, x0=None):
     if len(x) != n or n != A.nrows:
         raise ValueError("dimension mismatch")
     r = b.copy() if x0 is None else b - A.matvec(x)
-    return _smooth_steps(config, A, M, x, r)
-
-
-def _smooth_steps(config, A, M, x, r):
-    """Run the step table from iterate ``x`` with residual ``r``.
-
-    Updates ``x`` and ``r`` in place and returns ``x``; the caller owns both.
-    """
-    n = len(x)
     d = np.empty(n)  # every family's first step overwrites it
     s = np.empty(n)  # scratch for e_j M^-1 r, then w_j d
     for j, (c, e, w) in enumerate(config.steps, 1):

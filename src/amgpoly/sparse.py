@@ -49,6 +49,8 @@ class CsrMatrix:
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values):
         row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
+        if np.iscomplexobj(values):
+            raise ValueError("complex values are not supported")
         values = np.asarray(values, dtype=np.float64)
         nnz = len(values)
         if row_ptr.shape != (nrows + 1,):

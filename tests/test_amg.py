@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amgpoly import amg
 from amgpoly.amg import (
     POWER_STEPS,
     CoarseningConfig,
@@ -320,8 +321,7 @@ class TestVcycle:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bitwise_equal_to_public_smoother_calls(self, family, rng):
-        # the post-smoother updates the V-cycle's own iterate in place; the
-        # public smoother_apply copies it first and must give the same bits
+        # two levels: the public smoother calls around the dense coarse solve
         A, _ = poisson3d(6)
         smoother = PolySmootherConfig(family=family, degree=3)
         h = build_hierarchy(A, smoother=smoother, max_levels=2, min_coarse_size=10,
@@ -408,6 +408,22 @@ class TestVcycle:
         reset_spmv_count()
         vcycle_apply(h, np.ones(A.nrows))
         assert spmv_count() == 2 * (2 * k + 2) + sweeps - 1
+
+    def test_every_smoothing_is_one_smoother_apply_call(self, monkeypatch):
+        # pre and post on each of two levels, plus the l1-Jacobi coarse solve
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return smoother_apply(*args)
+
+        A, _ = poisson3d(8)
+        h = build_hierarchy(A, min_coarse_size=10, max_levels=3)
+        assert len(h.levels) == 3
+        monkeypatch.setattr(amg, "smoother_apply", counting)
+        vcycle_apply(h, np.ones(A.nrows))
+        fine, mid = h.levels[0].smoother, h.levels[1].smoother
+        assert calls == [fine, mid, h.coarse_smoother, mid, fine]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bitwise_equal_to_explicit_zero_guess_vcycle(self, family, rng):

@@ -46,6 +46,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(str(p), [])
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config(str(p), [])
+        assert main(["solve", "--config", str(p)]) == EXIT_CONFIG
+
     def test_build_problem_dispatch(self):
         A, b = build_problem(parse_config(None, ["problem=poisson3d", "m=3"]))
         assert A.nrows == 27
@@ -117,6 +124,17 @@ class TestExitCodes:
 
     def test_bad_kmax_is_2(self, capsys):
         assert main(["optimize", "--kmax", "99"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("args", [
+        ["optimize", "--kmax", "2"],
+        ["bounds", "--kmax", "2"],
+        ["solve", "--override", "m=4"],
+        ["spectrum-grid", "--sizes", "4", "--degrees", "1"],
+    ], ids=lambda a: a[0])
+    def test_unwritable_output_is_2(self, args, tmp_path, capsys):
+        out = tmp_path / "missing" / "x"
+        assert main(args + ["-o", str(out)]) == EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
 
     def test_success_is_0(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -369,3 +387,12 @@ class TestImportCommand:
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["import", "--matrix", "/nonexistent.mtx"]) == EXIT_CONFIG
+
+    def test_complex_values_are_config_error(self, tmp_path, capsys):
+        p = tmp_path / "herm.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate complex hermitian\n"
+            "2 2 3\n1 1 2.0 0.0\n2 1 1.0 1.0\n2 2 2.0 0.0\n"
+        )
+        assert main(["import", "--matrix", str(p)]) == EXIT_CONFIG
+        assert "complex" in capsys.readouterr().err
