@@ -61,9 +61,7 @@ from .smoothers import (
 from .sparse import (
     CsrMatrix,
     dense_sym_eig,
-    fused_update,
     read_matrix_market,
-    reset_spmv_count,
     spmv,
     spmv_count,
     write_matrix_market,

@@ -308,7 +308,11 @@ def optimize_beta(k):
                 break
         halve = hi - lo > 0.5 * width
         rounds += 1
-    gamma = _beta_objective(full_grid, full_base, full_basis, beta)
+    # the grid starts at 1e-8 and can miss the x -> 0+ limit 1/(2|p'(0)|),
+    # with p'(0) = -(2/3) sum_j (beta_j - beta_{j+1}) j(j+1)
+    j = np.arange(1, k + 1)
+    slope = -2.0 / 3.0 * float(np.sum((beta - np.append(beta[1:], 0.0)) * j * (j + 1)))
+    gamma = max(_beta_objective(full_grid, full_base, full_basis, beta), 0.5 / abs(slope))
     return BetaTable(k=k, beta=np.asarray(beta), gamma_value=gamma)
 
 

@@ -23,18 +23,14 @@ import scipy.sparse
 # ``dense_direct`` coarsest level.
 MAX_DENSE_N = 1024
 
-# Global SpMV counter used by the cost-accounting tests: one degree-k
-# polynomial application and k basic sweeps must report the same count.
+# Global SpMV counter; callers count a span of work as the difference of two
+# ``spmv_count()`` readings (one degree-k polynomial application and k basic
+# sweeps must report the same count).
 _spmv_calls = 0
 
 
 def spmv_count():
     return _spmv_calls
-
-
-def reset_spmv_count():
-    global _spmv_calls
-    _spmv_calls = 0
 
 
 class CsrMatrix:
@@ -161,24 +157,6 @@ def spmv(A, x):
     global _spmv_calls
     _spmv_calls += 1
     return A.to_scipy().dot(x)
-
-
-def fused_update(rho, rho_prev, two_rho_over_delta, s, r, d, x):
-    """The update  r -= s;  d = rho*rho_prev*d + c*r;  x += d,  in place.
-
-    Not fused: it runs four numpy statements (r -= s, d *= rho*rho_prev,
-    d += c*r, x += d), five passes over the vectors counting the temporary
-    c*r, each element's arithmetic bitwise that of the three vector
-    expressions above.  No solver calls it; its only caller is the
-    determinism check ``test_12_kernel_determinism`` in
-    ``tests/test_acceptance.py``.
-    """
-    if not (len(s) == len(r) == len(d) == len(x)):
-        raise ValueError("fused_update: vector length mismatch")
-    r -= s
-    d *= rho * rho_prev
-    d += two_rho_over_delta * r
-    x += d
 
 
 # -- dense symmetric eigensolve ---------------------------------------------

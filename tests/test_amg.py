@@ -32,7 +32,7 @@ from amgpoly.smoothers import (
     smoother_apply,
     smoothing_constant,
 )
-from amgpoly.sparse import CsrMatrix, reset_spmv_count, spmv, spmv_count
+from amgpoly.sparse import CsrMatrix, spmv, spmv_count
 
 from conftest import (
     integer_m_matrices,
@@ -157,9 +157,9 @@ class TestEstimateLambdaMax:
             w = (A.to_scipy() @ (v / ds)) / ds
             lam = float(v @ w) / float(v @ v)
             v = w / np.linalg.norm(w)
-        reset_spmv_count()
+        before = spmv_count()
         assert estimate_lambda_max(A) == lam
-        assert spmv_count() == POWER_STEPS
+        assert spmv_count() - before == POWER_STEPS
 
     def test_poisson3d_band(self):
         A, _ = poisson3d(4)
@@ -405,9 +405,9 @@ class TestVcycle:
             coarse_sweeps=sweeps,
         )
         assert len(h.levels) == 3
-        reset_spmv_count()
+        before = spmv_count()
         vcycle_apply(h, np.ones(A.nrows))
-        assert spmv_count() == 2 * (2 * k + 2) + sweeps - 1
+        assert spmv_count() - before == 2 * (2 * k + 2) + sweeps - 1
 
     def test_every_smoothing_is_one_smoother_apply_call(self, monkeypatch):
         # pre and post on each of two levels, plus the l1-Jacobi coarse solve

@@ -1,6 +1,7 @@
 import csv
 import json
-import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -272,25 +273,25 @@ class TestSolveCommand:
         assert "hierarchy" not in report
 
 
-# The AMG-PCG solves of scripts/run_experiments.py with their exact iteration
-# counts; a kernel change that costs an iteration anywhere fails here.
-EXPERIMENT_PROBLEMS = {
-    "poisson3d-m16-match": ["problem=poisson3d", "m=16", "coarsening=pairwise_matching"],
-    "poisson3d-m16-sa": ["problem=poisson3d", "m=16", "coarsening=smoothed_aggregation"],
-    "aniso2d-m64-sa": [
-        "problem=aniso2d", "m=64", "epsilon=100", f"angle={math.pi / 6}",
-        "coarsening=smoothed_aggregation",
-    ],
-}
-EXPERIMENT_SMOOTHERS = [
-    ("l1_jacobi", 4), ("cheb4", 4), ("opt_cheb4", 4), ("opt_cheb1", 4),
-    ("cheb4", 6), ("opt_cheb4", 6), ("opt_cheb1", 6),
-]
+# The AMG-PCG solves of scripts/run_experiments.py, read from the script's own
+# tables, with their exact iteration counts; a kernel change that costs an
+# iteration anywhere fails here.
+_EXPERIMENTS = runpy.run_path(
+    str(pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py")
+)
+EXPERIMENT_PROBLEMS = dict(_EXPERIMENTS["SOLVE_MATRIX"])
+EXPERIMENT_SMOOTHERS = _EXPERIMENTS["SMOOTHERS"]
 EXPERIMENT_ITERATIONS = {
     "poisson3d-m16-match": [7, 5, 6, 5, 4, 5, 4],
     "poisson3d-m16-sa": [7, 6, 6, 5, 5, 5, 5],
     "aniso2d-m64-sa": [27, 26, 27, 26, 26, 26, 26],
 }
+
+
+def test_experiment_iterations_cover_the_script_tables():
+    assert list(EXPERIMENT_ITERATIONS) == list(EXPERIMENT_PROBLEMS)
+    n = len(EXPERIMENT_SMOOTHERS)
+    assert all(len(iters) == n for iters in EXPERIMENT_ITERATIONS.values())
 
 
 @pytest.mark.parametrize(

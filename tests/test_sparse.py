@@ -13,7 +13,6 @@ from amgpoly.problems import poisson3d
 from amgpoly.sparse import (
     CsrMatrix,
     dense_sym_eig,
-    fused_update,
     read_matrix_market,
     spmv,
     write_matrix_market,
@@ -175,41 +174,6 @@ class TestSpmv:
         lhs = spmv(A, a * x + b * y)
         rhs = a * spmv(A, x) + b * spmv(A, y)
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13 * np.abs(rhs).max())
-
-
-class TestFusedUpdate:
-    def test_zero_coefficients(self):
-        s, r = np.array([1.0]), np.array([3.0])
-        d, x = np.array([2.0]), np.array([5.0])
-        fused_update(0.0, 0.0, 0.0, s, r, d, x)
-        assert r[0] == 2.0 and d[0] == 0.0 and x[0] == 5.0
-
-    def test_hand_evaluated_scalar(self):
-        s, r = np.array([1.0]), np.array([3.0])
-        d, x = np.array([2.0]), np.array([5.0])
-        fused_update(0.5, 0.4, 2.0, s, r, d, x)
-        assert r[0] == 2.0
-        assert d[0] == pytest.approx(4.4, abs=1e-15)
-        assert x[0] == pytest.approx(9.4, abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            fused_update(1.0, 1.0, 1.0, np.ones(2), np.ones(3), np.ones(3), np.ones(3))
-
-    @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_bitwise_equals_unfused(self, n, seed):
-        rng = np.random.default_rng(seed)
-        s, r, d, x = (rng.standard_normal(n) for _ in range(4))
-        rho, rho_prev, c = rng.standard_normal(3)
-        r2, d2, x2 = r.copy(), d.copy(), x.copy()
-        fused_update(rho, rho_prev, c, s, r, d, x)
-        r2 -= s
-        d2 = rho * rho_prev * d2 + c * r2
-        x2 += d2
-        assert np.array_equal(r, r2)
-        assert np.array_equal(d, d2)
-        assert np.array_equal(x, x2)
 
 
 class TestDenseEig:
