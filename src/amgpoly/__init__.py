@@ -26,7 +26,6 @@ from .chebyshev import (
     ScaledChebParams,
     c1_coefficient,
     cheb1_eval,
-    cheb4_eval,
     coefficient_roots,
     fourth_kind_basis,
     scaled_cheb_eval,
@@ -40,7 +39,6 @@ from .optimize import (
     gamma_cheb4,
     lambda_of,
     load_beta_tables,
-    optimal_a,
     optimize_beta,
     phi,
     solve_a_star,
@@ -60,7 +58,6 @@ from .smoothers import (
 )
 from .sparse import (
     CsrMatrix,
-    dense_sym_eig,
     read_matrix_market,
     spmv,
     spmv_count,

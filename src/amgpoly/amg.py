@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 
 from .smoothers import PolySmootherConfig, l1_jacobi_diag, smoother_apply, smoothing_constant
-from .sparse import MAX_DENSE_N, CsrMatrix, dense_sym_eig, spmv
+from .sparse import MAX_DENSE_N, CsrMatrix, spmv
 
 # Power-iteration steps of estimate_lambda_max
 POWER_STEPS = 25
@@ -59,20 +59,20 @@ class CoarseningConfig:
 class Level:
     A: CsrMatrix
     M: np.ndarray  # l1-Jacobi diagonal
-    smoother: PolySmootherConfig
     P: CsrMatrix | None = None  # prolongator from the next-coarser level
     R: CsrMatrix | None = None  # restriction P^T to the next-coarser level
 
 
 @dataclass(frozen=True)
 class AmgHierarchy:
-    """Levels fine to coarse and one coarse solver.
+    """Levels fine to coarse, the one smoother of every level and one coarse solver.
 
     Exactly one of ``coarse_smoother`` (the ``l1_jacobi`` sweeps) and
     ``coarse_factor`` (the ``dense_direct`` Cholesky factor) is set.
     """
 
     levels: tuple
+    smoother: PolySmootherConfig
     coarse_smoother: PolySmootherConfig | None
     coarse_factor: tuple | None = field(default=None, repr=False)
     stagnated: bool = False
@@ -91,8 +91,8 @@ class AmgHierarchy:
                     "size": l.A.nrows,
                     "nnz": l.A.nnz,
                     "aggregates": l.P.ncols if l.P is not None else 0,
-                    "smoother": l.smoother.family,
-                    "degree": l.smoother.degree,
+                    "smoother": self.smoother.family,
+                    "degree": self.smoother.degree,
                 }
                 for l in self.levels
             ],
@@ -318,7 +318,7 @@ def build_hierarchy(
         raise ValueError("A must be symmetric")
     coarsening = coarsening or CoarseningConfig()
     smoother = smoother or PolySmootherConfig(family="opt_cheb1", degree=4)
-    levels = [Level(A=A, M=M, smoother=smoother)]
+    levels = [Level(A=A, M=M)]
     stagnated = 0
     while (
         levels[-1].A.nrows > min_coarse_size
@@ -344,7 +344,7 @@ def build_hierarchy(
         R = P.transpose()
         levels[-1].P, levels[-1].R = P, R
         Ac = galerkin_rap(Al, P, R)
-        levels.append(Level(A=Ac, M=l1_jacobi_diag(Ac), smoother=smoother))
+        levels.append(Level(A=Ac, M=l1_jacobi_diag(Ac)))
     coarse_smoother = coarse_factor = None
     if coarse_solver == "l1_jacobi":
         coarse_smoother = PolySmootherConfig(family="l1_jacobi", degree=coarse_sweeps)
@@ -362,6 +362,7 @@ def build_hierarchy(
             raise ValueError("dense_direct coarsest level is not positive definite") from exc
     return AmgHierarchy(
         levels=tuple(levels),
+        smoother=smoother,
         coarse_smoother=coarse_smoother,
         coarse_factor=coarse_factor,
         stagnated=stagnated >= 2,
@@ -388,10 +389,10 @@ def vcycle_apply(h, r, _level=0):
 
             return cho_solve(h.coarse_factor, r)
         return smoother_apply(h.coarse_smoother, level.A, level.M, r)
-    x = smoother_apply(level.smoother, level.A, level.M, r)
+    x = smoother_apply(h.smoother, level.A, level.M, r)
     rc = spmv(level.R, r - spmv(level.A, x))
     x += spmv(level.P, vcycle_apply(h, rc, _level + 1))
-    return smoother_apply(level.smoother, level.A, level.M, r, x)
+    return smoother_apply(h.smoother, level.A, level.M, r, x)
 
 
 def as_vcycle_preconditioner(h):
@@ -410,7 +411,11 @@ def two_level_constants(A, P, M, smoother):
       gamma  the smoother's ``smoothing_constant``,
       bound  C/(C + 1/gamma), reducing to C/(C + 2k) for k plain sweeps,
       actual the A-norm squared of E = G^T (I - P Ac^-1 P^T A) G.
+
+    Raises ``ValueError`` unless A is symmetric positive definite.
     """
+    if not A.is_symmetric():
+        raise ValueError("A must be symmetric")
     n = A.nrows
     Ad = A.to_dense()
     Pd = P.to_dense()
@@ -424,7 +429,7 @@ def two_level_constants(A, P, M, smoother):
     bs = np.sqrt(M)
     S = (T @ Ad @ T) * np.outer(bs, bs)
     S = (S + S.T) * 0.5
-    C = float(np.max(dense_sym_eig(S)[0]))
+    C = float(np.max(np.linalg.eigh(S)[0]))
 
     gamma = smoothing_constant(smoother)
     bound = C / (C + 1.0 / gamma)
@@ -440,12 +445,12 @@ def two_level_constants(A, P, M, smoother):
     # G is A-self-adjoint, so its transpose in the A inner product is itself;
     # assemble E = G * corr * G directly.
     E = G @ corr @ G
-    w, V = dense_sym_eig(Ad)
+    w, V = np.linalg.eigh(Ad)
     if np.any(w <= 0.0):
         raise ValueError("A must be positive definite")
     Ah = V @ np.diag(np.sqrt(w)) @ V.T
     Ahi = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
     Sym = Ah @ E @ Ahi
     Sym = (Sym + Sym.T) * 0.5
-    actual = float(np.max(np.abs(dense_sym_eig(Sym)[0])) ** 2)
+    actual = float(np.max(np.abs(np.linalg.eigh(Sym)[0])) ** 2)
     return C, gamma, bound, actual

@@ -46,16 +46,6 @@ def fourth_kind_basis(arg, k):
     return W[: k + 1]
 
 
-def cheb4_eval(k, x):
-    """Fourth-kind Chebyshev polynomial W_k(x) on [-1, 1].
-
-    Equals sin((k+1/2)t)/sin(t/2) for x = cos(t).
-    """
-    if abs(x) > 1.0:
-        raise ValueError("cheb4_eval requires |x| <= 1")
-    return fourth_kind_basis(x, k)[k]
-
-
 @dataclass
 class ScaledChebParams:
     """Interval parameter and degree for tau_k^{[a,1]}."""

@@ -126,6 +126,10 @@ _SOLVE_DEFAULTS = {
     "min_coarse_size": "200",
     "max_levels": "10",
 }
+_INT_KEYS = ("m", "n", "matching_sweeps", "degree", "itmax", "coarse_sweeps",
+             "min_coarse_size", "max_levels")
+_FLOAT_KEYS = ("epsilon", "angle", "strength_theta", "tol")
+GRID_DISTRIBUTIONS = ("equispaced", "boundary", "gapped")
 
 
 def parse_config(path, overrides):
@@ -165,6 +169,20 @@ def _to_bool(s):
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
+def _check_values(cfg):
+    """Reject a malformed value of any key, whether or not the problem reads it."""
+    for keys, parse in ((_INT_KEYS, int), (_FLOAT_KEYS, float)):
+        for key in keys:
+            try:
+                parse(cfg[key])
+            except ValueError:
+                raise ConfigError(f"{key} must be {parse.__name__}, got {cfg[key]!r}") from None
+    if cfg["distribution"] not in GRID_DISTRIBUTIONS:
+        raise ConfigError(f"unknown distribution {cfg['distribution']!r}")
+    if cfg["coarse_solver"] not in ("l1_jacobi", "dense_direct"):
+        raise ConfigError(f"unknown coarse solver {cfg['coarse_solver']!r}")
+
+
 def build_problem(cfg):
     kind = cfg["problem"]
     try:
@@ -183,6 +201,7 @@ def build_problem(cfg):
 
 
 def run_solve(cfg):
+    _check_values(cfg)
     A, b = build_problem(cfg)
     try:
         smoother = PolySmootherConfig(family=cfg["smoother"], degree=int(cfg["degree"]))
@@ -238,8 +257,6 @@ def cmd_solve(args):
 
 
 # -- spectrum-grid -----------------------------------------------------------
-
-GRID_DISTRIBUTIONS = ("equispaced", "boundary", "gapped")
 
 
 def cmd_spectrum_grid(args):

@@ -37,7 +37,6 @@ class BetaTable:
     are implicit in the W_j expansion of the error polynomial.
     """
 
-    k: int
     beta: np.ndarray
     gamma_value: float
 
@@ -99,8 +98,12 @@ def brent_root(f, a, b):
     return b
 
 
+@functools.cache
 def solve_a_star(k):
-    """Optimal interval endpoint a*_k: square of the unique (0,1) root of phi."""
+    """Optimal interval endpoint a*_k: square of the unique (0,1) root of phi.
+
+    Cached: each degree is solved once per process (an error is not cached).
+    """
     if k < 1:
         raise ValueError("degree must be >= 1")
     x = brent_root(lambda x: phi(k, x), 1e-8, 1.0 - 1e-8)
@@ -313,7 +316,7 @@ def optimize_beta(k):
     j = np.arange(1, k + 1)
     slope = -2.0 / 3.0 * float(np.sum((beta - np.append(beta[1:], 0.0)) * j * (j + 1)))
     gamma = max(_beta_objective(full_grid, full_base, full_basis, beta), 0.5 / abs(slope))
-    return BetaTable(k=k, beta=np.asarray(beta), gamma_value=gamma)
+    return BetaTable(beta=np.asarray(beta), gamma_value=gamma)
 
 
 # -- parameter tables -------------------------------------------------------
@@ -325,16 +328,9 @@ def load_beta_tables():
     text = resources.files("amgpoly.data").joinpath("beta_tables.csv").read_text()
     table = {}
     for row in csv.DictReader(io.StringIO(text)):
-        k = int(row["k"])
         beta = np.array([float(v) for v in row["beta"].split()])
-        table[k] = BetaTable(k=k, beta=beta, gamma_value=float(row["gamma_value"]))
+        table[int(row["k"])] = BetaTable(beta=beta, gamma_value=float(row["gamma_value"]))
     return table
-
-
-@functools.cache
-def optimal_a(k):
-    """a*_k, solved once per degree by ``solve_a_star``."""
-    return solve_a_star(k)
 
 
 def params_csv_rows(kmax):
@@ -347,7 +343,7 @@ def params_csv_rows(kmax):
     betas = load_beta_tables()
     rows = []
     for k in range(1, kmax + 1):
-        a = optimal_a(k)
+        a = solve_a_star(k)
         a_lower, a_upper, lam_lower, lam_upper = (
             theorem_bounds(k) if k >= 3 else (math.nan,) * 4
         )

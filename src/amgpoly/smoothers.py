@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .chebyshev import ScaledChebParams, fourth_kind_basis, scaled_cheb_eval
-from .optimize import BetaTable, gamma_cheb4, lambda_of, load_beta_tables, optimal_a
+from .optimize import BetaTable, gamma_cheb4, lambda_of, load_beta_tables, solve_a_star
 from .sparse import CsrMatrix
 
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
@@ -79,7 +79,7 @@ class PolySmootherConfig:
     family: str
     degree: int
     a: float | None = None           # opt_cheb1 interval endpoint
-    beta: BetaTable | None = None    # opt_cheb4 coefficient table
+    beta: BetaTable | None = field(default=None, init=False)  # opt_cheb4 shipped table
     steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,16 +89,16 @@ class PolySmootherConfig:
             raise ValueError("degree must be >= 1")
         if self.family == "opt_cheb1":
             if self.a is None:
-                object.__setattr__(self, "a", optimal_a(self.degree))
+                object.__setattr__(self, "a", solve_a_star(self.degree))
             if not 0.0 < self.a < 1.0:
                 raise ValueError("a must lie in (0, 1)")
-        if self.family == "opt_cheb4" and self.beta is None:
-            tables = load_beta_tables()
-            if self.degree not in tables:
+        if self.family == "opt_cheb4":
+            beta = load_beta_tables().get(self.degree)
+            if beta is None:
                 raise ValueError(f"no opt_cheb4 beta table for degree {self.degree}")
-            object.__setattr__(self, "beta", tables[self.degree])
-        if self.beta is not None and len(self.beta.beta) != self.degree:
-            raise ValueError("beta table length must equal the degree")
+            if len(beta.beta) != self.degree:
+                raise ValueError("beta table length must equal the degree")
+            object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "steps", step_coefficients(self))
 
 

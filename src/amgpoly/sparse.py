@@ -1,4 +1,4 @@
-"""Sparse CSR storage, counted SpMV, a dense eigensolver and Matrix Market I/O.
+"""Sparse CSR storage, counted SpMV and Matrix Market I/O.
 
 ``CsrMatrix`` is one scipy CSR matrix with checked structure: sorted,
 duplicate-free columns.  Every operator application of the solve phase
@@ -157,25 +157,6 @@ def spmv(A, x):
     global _spmv_calls
     _spmv_calls += 1
     return A.to_scipy().dot(x)
-
-
-# -- dense symmetric eigensolve ---------------------------------------------
-
-
-def _check_symmetric(S):
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(np.max(np.abs(S)), 1.0)
-    if np.max(np.abs(S - S.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    return S
-
-
-def dense_sym_eig(S):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric S (LAPACK)."""
-    w, v = np.linalg.eigh(_check_symmetric(S))
-    return w, v
 
 
 # -- Matrix Market I/O ------------------------------------------------------

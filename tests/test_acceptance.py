@@ -6,6 +6,7 @@ bound machinery must reproduce.
 """
 
 import csv
+import dataclasses
 import math
 import time
 
@@ -197,11 +198,9 @@ def _amg_iteration_counts(A, b, coarsening, configs):
     h = build_hierarchy(A, coarsening=coarsening, smoother=configs[0][1])
     counts = {}
     for label, smoother in configs:
-        for level in h.levels:
-            level.smoother = smoother
         _, rep = solve(
             A, b,
-            precond=as_vcycle_preconditioner(h),
+            precond=as_vcycle_preconditioner(dataclasses.replace(h, smoother=smoother)),
             cfg=KrylovConfig(tol=1e-7, itmax=1000, record_history=False),
         )
         counts[label] = (rep.iterations, rep.converged)

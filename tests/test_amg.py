@@ -414,7 +414,7 @@ class TestVcycle:
         calls = []
 
         def counting(*args):
-            calls.append(args[0])
+            calls.append(args[:2])
             return smoother_apply(*args)
 
         A, _ = poisson3d(8)
@@ -422,8 +422,9 @@ class TestVcycle:
         assert len(h.levels) == 3
         monkeypatch.setattr(amg, "smoother_apply", counting)
         vcycle_apply(h, np.ones(A.nrows))
-        fine, mid = h.levels[0].smoother, h.levels[1].smoother
-        assert calls == [fine, mid, h.coarse_smoother, mid, fine]
+        fine, mid, coarse = (level.A for level in h.levels)
+        assert calls == [(h.smoother, fine), (h.smoother, mid), (h.coarse_smoother, coarse),
+                         (h.smoother, mid), (h.smoother, fine)]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bitwise_equal_to_explicit_zero_guess_vcycle(self, family, rng):
@@ -431,10 +432,10 @@ class TestVcycle:
             level = h.levels[lvl]
             if lvl == len(h.levels) - 1:
                 return smoother_apply(h.coarse_smoother, level.A, level.M, r, np.zeros_like(r))
-            x = smoother_apply(level.smoother, level.A, level.M, r, np.zeros_like(r))
+            x = smoother_apply(h.smoother, level.A, level.M, r, np.zeros_like(r))
             rc = spmv(level.R, r - spmv(level.A, x))
             x = x + spmv(level.P, reference(h, rc, lvl + 1))
-            return smoother_apply(level.smoother, level.A, level.M, r, x)
+            return smoother_apply(h.smoother, level.A, level.M, r, x)
 
         A, _ = poisson3d(8)
         h = build_hierarchy(
@@ -448,6 +449,12 @@ class TestVcycle:
 
 
 class TestTwoLevelConstants:
+    def test_rejects_nonsymmetric(self):
+        A = tridiag(8, lo=-1.0, up=-0.5)
+        cfg = PolySmootherConfig(family="l1_jacobi", degree=1)
+        with pytest.raises(ValueError, match="symmetric"):
+            two_level_constants(A, linear_interp_1d(8), l1_jacobi_diag(A), cfg)
+
     def test_square_invertible_prolongator(self):
         A = tridiag(8)
         M = l1_jacobi_diag(A)

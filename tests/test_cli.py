@@ -119,6 +119,21 @@ class TestExitCodes:
         assert main(args) == EXIT_CONFIG
         assert "unknown coarse solver 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        ["problem=spectral", "max_levels=abc"],
+        ["problem=spectral", "m=abc"],
+        ["problem=spectral", "angle=abc"],
+        ["problem=spectral", "coarse_solver=bogus"],
+        ["problem=poisson3d", "m=4", "n=abc"],
+        ["problem=poisson3d", "m=4", "epsilon=abc"],
+        ["problem=aniso2d", "m=4", "n=abc"],
+        ["problem=poisson3d", "m=4", "distribution=bogus"],
+    ], ids=" ".join)
+    def test_malformed_key_the_problem_does_not_read_is_2(self, overrides, capsys):
+        args = ["solve"] + [arg for o in overrides for arg in ("--override", o)]
+        assert main(args) == EXIT_CONFIG
+        assert repr(overrides[-1].partition("=")[2]) in capsys.readouterr().err
+
     def test_nan_tol_is_2(self, capsys):
         assert main(["solve", "--override", "m=6", "--override", "tol=nan"]) == EXIT_CONFIG
         assert "tol must be finite and positive" in capsys.readouterr().err

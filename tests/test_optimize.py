@@ -15,7 +15,6 @@ from amgpoly.optimize import (
     gamma_cheb4,
     lambda_of,
     load_beta_tables,
-    optimal_a,
     optimize_beta,
     params_csv_rows,
     phi,
@@ -289,10 +288,14 @@ class TestDataAssets:
             bt.gamma_value, rel=1e-4
         )
 
-    def test_optimal_a_is_solve_a_star(self):
-        assert optimal_a(4) == pytest.approx(A_STAR_REFERENCE[4], abs=1e-12)
-        for k in range(1, 21):
-            assert optimal_a(k) == solve_a_star(k)
+    def test_solve_a_star_is_cached(self):
+        assert solve_a_star(4) == pytest.approx(A_STAR_REFERENCE[4], abs=1e-12)
+        hits = solve_a_star.cache_info().hits
+        assert solve_a_star(4) == solve_a_star(4)
+        assert solve_a_star.cache_info().hits == hits + 2
+        for _ in range(2):  # an error is not cached: it is raised every time
+            with pytest.raises(ValueError):
+                solve_a_star(0)
 
     def test_csv_rows_schema(self):
         rows = params_csv_rows(3)

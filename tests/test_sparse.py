@@ -12,54 +12,12 @@ import amgpoly
 from amgpoly.problems import poisson3d
 from amgpoly.sparse import (
     CsrMatrix,
-    dense_sym_eig,
     read_matrix_market,
     spmv,
     write_matrix_market,
 )
 
 from conftest import random_spd, tridiag
-
-
-def jacobi_sym_eig(S, max_sweeps=100, tol=1e-12):
-    """Cyclic Jacobi rotations: an eigensolver independent of LAPACK.
-
-    For small oracle matrices only (cost grows as n^3 per sweep with a
-    Python-level rotation loop).
-    """
-    A = np.array(S, dtype=np.float64)
-    n = A.shape[0]
-    V = np.eye(n)
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return np.zeros(n), V
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(A**2) - np.sum(np.diag(A) ** 2))
-        if off <= tol * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                rot_p = c * V[:, p] - s * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    w = np.diag(A).copy()
-    order = np.argsort(w)
-    return w[order], V[:, order]
 
 
 class TestCsrMatrix:
@@ -176,37 +134,6 @@ class TestSpmv:
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13 * np.abs(rhs).max())
 
 
-class TestDenseEig:
-    def test_diagonal(self):
-        w, _ = dense_sym_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(w, [1.0, 2.0, 3.0])
-
-    def test_laplacian_analytic_spectrum(self):
-        n = 12
-        w, _ = dense_sym_eig(tridiag(n).to_dense())
-        exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
-        assert np.allclose(w, np.sort(exact), atol=1e-12)
-
-    def test_reconstruction(self, rng):
-        S = random_spd(20, seed=7).to_dense()
-        w, V = dense_sym_eig(S)
-        R = V @ np.diag(w) @ V.T
-        assert np.linalg.norm(R - S) <= 1e-9 * np.linalg.norm(S)
-        assert np.allclose(V.T @ V, np.eye(20), atol=1e-10)
-        assert np.all(w > 0)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            dense_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_jacobi_cross_check(self):
-        S = random_spd(15, seed=3).to_dense()
-        w_ref, _ = dense_sym_eig(S)
-        w_jac, V = jacobi_sym_eig(S)
-        assert np.allclose(w_jac, w_ref, rtol=1e-10, atol=1e-10)
-        assert np.linalg.norm(S @ V - V * w_jac) <= 1e-9 * np.linalg.norm(S)
-
-
 class TestGalerkinSymmetry:
     def test_rap_symmetric(self, rng):
         A = random_spd(12, seed=11).to_dense()
@@ -239,12 +166,24 @@ class TestMatrixMarket:
         assert not loaded_by_import_amgpoly("scipy.linalg")
 
 
-def loaded_by_import_amgpoly(module):
-    """Whether ``import amgpoly`` in a fresh interpreter loads ``module``."""
+@pytest.mark.parametrize("argv", [
+    ["solve", "--override", "m=4"],
+    ["spectrum-grid", "--sizes", "8", "--degrees", "1,2"],
+    ["bounds", "--kmax", "12"],
+], ids=lambda a: a[0])
+def test_cli_leaves_scipy_optimize_unloaded(argv):
+    # importing it costs about 0.45 s; only optimize_beta needs it
+    run = f"from amgpoly.cli import main; assert main({argv + ['-o', os.devnull]!r}) == 0"
+    assert not loaded_by_import_amgpoly("scipy.optimize", run)
+
+
+def loaded_by_import_amgpoly(module, then="pass"):
+    """Whether ``import amgpoly`` and the statement ``then``, run in a fresh
+    interpreter, load ``module``."""
     src = os.path.dirname(os.path.dirname(amgpoly.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys, amgpoly; print({module!r} in sys.modules)"
+    code = f"import sys, amgpoly\n{then}\nprint({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip() == "True"
