@@ -23,7 +23,6 @@ from .amg import (
     vcycle_apply,
 )
 from .chebyshev import (
-    ScaledChebParams,
     c1_coefficient,
     cheb1_eval,
     coefficient_roots,
@@ -49,6 +48,7 @@ from .smoothers import (
     FAMILIES,
     PolySmootherConfig,
     as_preconditioner,
+    error_polynomial,
     error_polynomial_coeffs,
     l1_jacobi_diag,
     smoother_apply,

@@ -37,6 +37,7 @@ from .sparse import MAX_DENSE_N, CsrMatrix, spmv
 
 # Power-iteration steps of estimate_lambda_max
 POWER_STEPS = 25
+COARSE_SOLVERS = ("l1_jacobi", "dense_direct")
 
 
 @dataclass
@@ -302,22 +303,25 @@ def build_hierarchy(
     Stops early (with ``stagnated`` set) if two successive coarsenings fail
     to shrink the problem below 95% of the fine size.  Raises ``ValueError``
     unless ``A`` is square and symmetric with a positive diagonal, the
-    coarse solver is ``l1_jacobi`` or ``dense_direct`` and ``coarse_sweeps``
-    is at least 1.  Only the fine level is checked: the coarser ones are its
-    Galerkin products.  Every operator the V-cycle reads is built here: each
-    level's restriction ``R = P^T`` and, for ``dense_direct``, the Cholesky
-    factor of the coarsest level, which must have at most ``MAX_DENSE_N`` rows
-    and be positive definite (``ValueError`` otherwise).
+    coarse solver is one of ``COARSE_SOLVERS`` and ``max_levels`` and
+    ``coarse_sweeps`` are at least 1.  Only the fine level is checked: the
+    coarser ones are its Galerkin products.  Every operator the V-cycle
+    reads is built here: each level's restriction ``R = P^T`` and, for
+    ``dense_direct``, the Cholesky factor of the coarsest level, which must
+    have at most ``MAX_DENSE_N`` rows and be positive definite
+    (``ValueError`` otherwise).
     """
-    if coarse_solver not in ("l1_jacobi", "dense_direct"):
+    if coarse_solver not in COARSE_SOLVERS:
         raise ValueError(f"unknown coarse solver {coarse_solver!r}")
+    if max_levels < 1:
+        raise ValueError("max_levels must be >= 1")
     if coarse_sweeps < 1:
         raise ValueError("coarse_sweeps must be >= 1")
     M = l1_jacobi_diag(A)  # rejects a matrix not square or without a positive diagonal
     if not A.is_symmetric():
         raise ValueError("A must be symmetric")
     coarsening = coarsening or CoarseningConfig()
-    smoother = smoother or PolySmootherConfig(family="opt_cheb1", degree=4)
+    smoother = smoother or PolySmootherConfig()
     levels = [Level(A=A, M=M)]
     stagnated = 0
     while (

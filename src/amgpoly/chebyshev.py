@@ -9,7 +9,6 @@ is the error polynomial realized by the first-kind smoother recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 def cheb1_eval(k, x):
@@ -46,33 +45,21 @@ def fourth_kind_basis(arg, k):
     return W[: k + 1]
 
 
-@dataclass
-class ScaledChebParams:
-    """Interval parameter and degree for tau_k^{[a,1]}."""
-
-    a: float
-    k: int
-    theta: float = field(init=False)
-    delta: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.a < 1.0:
-            raise ValueError("interval parameter a must lie in [0, 1)")
-        if self.k < 0:
-            raise ValueError("degree must be nonnegative")
-        self.theta = (1.0 + self.a) / 2.0
-        self.delta = (1.0 - self.a) / 2.0
-
-
-def scaled_cheb_eval(p, x):
+def scaled_cheb_eval(a, k, x):
     """tau_k^{[a,1]}(x) by the shifted three-term recurrence.
 
-    The sigma_k are the normalization constants tau_k(theta/delta) written in
-    their own recurrence so that tau_k^{[a,1]}(0) = 1 holds exactly.
+    With theta = (1+a)/2 and delta = (1-a)/2, the sigma_k are the
+    normalization constants tau_k(theta/delta) written in their own
+    recurrence so that tau_k^{[a,1]}(0) = 1 holds exactly.  ``x`` may be a
+    float, a numpy array or a numpy ``Polynomial``.
     """
-    theta, delta, k = p.theta, p.delta, p.k
+    if not 0.0 <= a < 1.0:
+        raise ValueError("interval parameter a must lie in [0, 1)")
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
     if k == 0:
         return 1.0
+    theta, delta = (1.0 + a) / 2.0, (1.0 - a) / 2.0
     t1 = 1.0 - x / theta
     if k == 1:
         return t1
@@ -108,7 +95,7 @@ def c1_coefficient(a, k):
     return -k * num / den
 
 
-def smoothing_objective(p, x):
+def smoothing_objective(a, k, x):
     """The weighted error x * tau^2 / (1 - tau^2) at an interior point x.
 
     Raises at a genuine pole (tau^2 = 1 away from x = 0); the analytic value
@@ -116,7 +103,7 @@ def smoothing_objective(p, x):
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
-    tau = scaled_cheb_eval(p, x)
+    tau = scaled_cheb_eval(a, k, x)
     denom = 1.0 - tau * tau
     if abs(denom) <= 1e-14:
         raise ValueError(f"pole of the smoothing objective at x={x}")

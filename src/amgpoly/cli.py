@@ -27,7 +27,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .amg import CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
+from .amg import COARSE_SOLVERS, CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
 from .krylov import KrylovConfig, solve
 from .optimize import params_csv_rows
 from .problems import aniso2d_q1, poisson3d, spectral_synthetic
@@ -105,40 +105,55 @@ def cmd_bounds(args):
 
 # -- solve -------------------------------------------------------------------
 
-_SOLVE_DEFAULTS = {
-    "problem": "poisson3d",
-    "m": "8",
-    "epsilon": "1.0",
-    "angle": "0.0",
-    "n": "64",
-    "distribution": "equispaced",
-    "coarsening": "smoothed_aggregation",
-    "strength_theta": "0.01",
-    "matching_sweeps": "3",
-    "prolongator_smoothing": "true",
-    "smoother": "opt_cheb1",
-    "degree": "4",
-    "variant": "pcg",
-    "tol": "1e-7",
-    "itmax": "1000",
-    "coarse_solver": "l1_jacobi",
-    "coarse_sweeps": "30",
-    "min_coarse_size": "200",
-    "max_levels": "10",
-}
-_INT_KEYS = ("m", "n", "matching_sweeps", "degree", "itmax", "coarse_sweeps",
-             "min_coarse_size", "max_levels")
-_FLOAT_KEYS = ("epsilon", "angle", "strength_theta", "tol")
 GRID_DISTRIBUTIONS = ("equispaced", "boundary", "gapped")
 
 
+def _to_bool(s):
+    if s.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"expected a boolean, got {s!r}")
+    return s.lower() in ("true", "1", "yes")
+
+
+def _one_of(names, what):
+    def parse(s):
+        if s not in names:
+            raise ValueError(f"unknown {what} {s!r}")
+        return s
+
+    return parse
+
+
+# every key of the solve config: its default string and its parser
+_SOLVE_KEYS = {
+    "problem": ("poisson3d", str),
+    "m": ("8", int),
+    "epsilon": ("1.0", float),
+    "angle": ("0.0", float),
+    "n": ("64", int),
+    "distribution": ("equispaced", _one_of(GRID_DISTRIBUTIONS, "distribution")),
+    "coarsening": ("smoothed_aggregation", str),
+    "strength_theta": ("0.01", float),
+    "matching_sweeps": ("3", int),
+    "prolongator_smoothing": ("true", _to_bool),
+    "smoother": ("opt_cheb1", str),
+    "degree": ("4", int),
+    "variant": ("pcg", str),
+    "tol": ("1e-7", float),
+    "itmax": ("1000", int),
+    "coarse_solver": ("l1_jacobi", _one_of(COARSE_SOLVERS, "coarse solver")),
+    "coarse_sweeps": ("30", int),
+    "min_coarse_size": ("200", int),
+    "max_levels": ("10", int),
+}
+
+
 def parse_config(path, overrides):
-    """Flat INI-style key=value config with # comments; overrides win."""
-    cfg = dict(_SOLVE_DEFAULTS)
+    """Each key's raw string from a flat key=value config with # comments; overrides win."""
+    cfg = {key: default for key, (default, _) in _SOLVE_KEYS.items()}
     seen = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line or line.startswith("#"):
@@ -161,80 +176,59 @@ def parse_config(path, overrides):
     return cfg
 
 
-def _to_bool(s):
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
+def parse_values(cfg):
+    """Every key's value parsed, whether or not the problem reads it."""
+    values = {}
+    for key, (_, parse) in _SOLVE_KEYS.items():
+        try:
+            values[key] = parse(cfg[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return values
 
 
-def _check_values(cfg):
-    """Reject a malformed value of any key, whether or not the problem reads it."""
-    for keys, parse in ((_INT_KEYS, int), (_FLOAT_KEYS, float)):
-        for key in keys:
-            try:
-                parse(cfg[key])
-            except ValueError:
-                raise ConfigError(f"{key} must be {parse.__name__}, got {cfg[key]!r}") from None
-    if cfg["distribution"] not in GRID_DISTRIBUTIONS:
-        raise ConfigError(f"unknown distribution {cfg['distribution']!r}")
-    if cfg["coarse_solver"] not in ("l1_jacobi", "dense_direct"):
-        raise ConfigError(f"unknown coarse solver {cfg['coarse_solver']!r}")
-
-
-def build_problem(cfg):
-    kind = cfg["problem"]
-    try:
-        if kind == "poisson3d":
-            return poisson3d(int(cfg["m"]))
-        if kind == "aniso2d":
-            return aniso2d_q1(int(cfg["m"]), float(cfg["epsilon"]), float(cfg["angle"]))
-        if kind == "spectral":
-            n = int(cfg["n"])
-            if n > MAX_DENSE_N:
-                raise ConfigError(f"spectral n must be <= {MAX_DENSE_N}, got {n}")
-            return spectral_synthetic(n, cfg["distribution"])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad problem config: {exc}") from exc
-    raise ConfigError(f"unknown problem kind {cfg['problem']!r}")
+def build_problem(values):
+    kind = values["problem"]
+    if kind == "poisson3d":
+        return poisson3d(values["m"])
+    if kind == "aniso2d":
+        return aniso2d_q1(values["m"], values["epsilon"], values["angle"])
+    if kind == "spectral":
+        if values["n"] > MAX_DENSE_N:
+            raise ValueError(f"spectral n must be <= {MAX_DENSE_N}, got {values['n']}")
+        return spectral_synthetic(values["n"], values["distribution"])
+    raise ValueError(f"unknown problem kind {kind!r}")
 
 
 def run_solve(cfg):
-    _check_values(cfg)
-    A, b = build_problem(cfg)
+    v = parse_values(cfg)
     try:
-        smoother = PolySmootherConfig(family=cfg["smoother"], degree=int(cfg["degree"]))
+        smoother = PolySmootherConfig(family=v["smoother"], degree=v["degree"])
         coarsening = CoarseningConfig(
-            kind=cfg["coarsening"],
-            strength_theta=float(cfg["strength_theta"]),
-            matching_sweeps=int(cfg["matching_sweeps"]),
-            prolongator_smoothing=_to_bool(cfg["prolongator_smoothing"]),
+            kind=v["coarsening"],
+            strength_theta=v["strength_theta"],
+            matching_sweeps=v["matching_sweeps"],
+            prolongator_smoothing=v["prolongator_smoothing"],
         )
-        kcfg = KrylovConfig(
-            variant=cfg["variant"], tol=float(cfg["tol"]), itmax=int(cfg["itmax"])
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg["problem"] == "spectral":
-        # dense synthetic operator: precondition with the smoother alone
-        M = l1_jacobi_diag(A)
-        precond = as_preconditioner(smoother, A, M)
-        hierarchy = None
-    else:
-        try:
+        kcfg = KrylovConfig(variant=v["variant"], tol=v["tol"], itmax=v["itmax"])
+        A, b = build_problem(v)
+        if v["problem"] == "spectral":
+            # dense synthetic operator: precondition with the smoother alone
+            precond = as_preconditioner(smoother, A, l1_jacobi_diag(A))
+            hierarchy = None
+        else:
             hierarchy = build_hierarchy(
                 A,
                 coarsening=coarsening,
                 smoother=smoother,
-                max_levels=int(cfg["max_levels"]),
-                min_coarse_size=int(cfg["min_coarse_size"]),
-                coarse_solver=cfg["coarse_solver"],
-                coarse_sweeps=int(cfg["coarse_sweeps"]),
+                max_levels=v["max_levels"],
+                min_coarse_size=v["min_coarse_size"],
+                coarse_solver=v["coarse_solver"],
+                coarse_sweeps=v["coarse_sweeps"],
             )
-        except ValueError as exc:
-            raise ConfigError(f"cannot build the AMG hierarchy: {exc}") from exc
-        precond = as_vcycle_preconditioner(hierarchy)
+            precond = as_vcycle_preconditioner(hierarchy)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _, rep = solve(A, b, precond=precond, cfg=kcfg)
     report = {"config": cfg, "solve": dataclasses.asdict(rep)}
     if hierarchy is not None:

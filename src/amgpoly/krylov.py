@@ -37,8 +37,8 @@ class SolveReport:
     breakdown: bool = False
 
 
-def solve(A, b, precond=None, cfg=None, x0=None):
-    """Solve SPD A x = b; returns (x, SolveReport).
+def solve(A, b, precond=None, cfg=None):
+    """Solve SPD A x = b from x = 0; returns (x, SolveReport).
 
     ``precond`` is a callable r -> z applying a fixed SPD preconditioner (or
     None for plain CG).  The flexible variant re-orthogonalizes each new
@@ -49,14 +49,13 @@ def solve(A, b, precond=None, cfg=None, x0=None):
     """
     cfg = cfg or KrylovConfig()
     b = np.asarray(b, dtype=np.float64)
-    n = len(b)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(len(b))
 
     spmv = 0
     pc = 0
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x * 0.0, SolveReport(0, True, 0.0, [], 0, 0)
+        return x, SolveReport(0, True, 0.0, [], 0, 0)
 
     r = b - A.matvec(x)
     spmv += 1

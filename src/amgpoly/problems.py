@@ -153,7 +153,6 @@ class SpectralOperator:
     one dense product with it.
     """
 
-    n: int
     eigenvalues: np.ndarray
     _dense: np.ndarray = field(init=False, repr=False)
 
@@ -163,11 +162,11 @@ class SpectralOperator:
 
     @property
     def nrows(self):
-        return self.n
+        return len(self.eigenvalues)
 
     @property
     def ncols(self):
-        return self.n
+        return len(self.eigenvalues)
 
     def matvec(self, x):
         return self._dense @ x
@@ -177,8 +176,9 @@ class SpectralOperator:
 
     def basis(self):
         """The orthonormal discrete sine basis Q, built anew on each call."""
-        i = np.arange(1, self.n + 1)
-        return np.sqrt(2.0 / (self.n + 1)) * np.sin(np.outer(i, i) * np.pi / (self.n + 1))
+        n = len(self.eigenvalues)
+        i = np.arange(1, n + 1)
+        return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(i, i) * np.pi / (n + 1))
 
 
 def spectral_synthetic(n, distribution):
@@ -199,6 +199,6 @@ def spectral_synthetic(n, distribution):
         d = np.concatenate([np.logspace(-8, -1, n // 2), np.logspace(1, math.pi, n // 2)])
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
-    op = SpectralOperator(n, d)
+    op = SpectralOperator(d)
     b = op.matvec(np.ones(n))
     return op, b

@@ -18,13 +18,13 @@ config builds its table once, when it is made.  The families:
               c_j = (2j-3)/(2j+1), e_j = (8j-4)/(2j+1), w_j = 1
   opt_cheb4   p(t) = sum_j (beta_j - beta_{j+1})/(2j+1) W_j(1 - 2t)
               as cheb4 with w_j = beta_j                 (Lottes' recurrence)
-  opt_cheb1   p(t) = tau_k^{[a,1]}(t),  theta = (1+a)/2, delta = (1-a)/2
+  opt_cheb1   p(t) = tau_k^{[a,1]}(t), a = a*_k, theta = (1+a)/2, delta = (1-a)/2
               c_1 = 0, e_1 = 1/theta, w_j = 1, and for j >= 2
               c_j = rho_j rho_{j-1}, e_j = 2 rho_j/delta with
               rho_1 = delta/theta, rho_j = 1/(2 theta/delta - rho_{j-1})
 
-``error_polynomial_coeffs`` and the oracle are built from the polynomials
-p above, never from the step table, so that comparing the kernel against
+``error_polynomial`` and the oracle are built from the polynomials p
+above, never from the step table, so that comparing the kernel against
 them checks the table.  ``smoothing_constant`` is each family's gamma in
 the V-cycle bound C/(C + 1/gamma), read from its closed form or table.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .chebyshev import ScaledChebParams, fourth_kind_basis, scaled_cheb_eval
+from .chebyshev import fourth_kind_basis, scaled_cheb_eval
 from .optimize import BetaTable, gamma_cheb4, lambda_of, load_beta_tables, solve_a_star
 from .sparse import CsrMatrix
 
@@ -70,15 +70,15 @@ def l1_jacobi_diag(A):
 
 @dataclass(frozen=True)
 class PolySmootherConfig:
-    """Family, degree, and the per-family parameters of a smoother.
+    """Family, degree, and the per-family parameters, which the degree fixes.
 
     Frozen, so that ``steps``, the table ``smoother_apply`` runs, is built
     once here and always matches the other fields.
     """
 
-    family: str
-    degree: int
-    a: float | None = None           # opt_cheb1 interval endpoint
+    family: str = "opt_cheb1"
+    degree: int = 4
+    a: float | None = field(default=None, init=False)  # opt_cheb1 endpoint a*_k
     beta: BetaTable | None = field(default=None, init=False)  # opt_cheb4 shipped table
     steps: tuple = field(init=False, repr=False, compare=False)
 
@@ -88,10 +88,7 @@ class PolySmootherConfig:
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.family == "opt_cheb1":
-            if self.a is None:
-                object.__setattr__(self, "a", solve_a_star(self.degree))
-            if not 0.0 < self.a < 1.0:
-                raise ValueError("a must lie in (0, 1)")
+            object.__setattr__(self, "a", solve_a_star(self.degree))
         if self.family == "opt_cheb4":
             beta = load_beta_tables().get(self.degree)
             if beta is None:
@@ -113,13 +110,13 @@ def step_coefficients(config):
             ((2 * j - 3) / (2 * j + 1), (8 * j - 4) / (2 * j + 1), betas[j - 1])
             for j in range(1, k + 1)
         )
-    p = ScaledChebParams(config.a, k)
-    sigma1 = p.theta / p.delta
-    steps = [(0.0, 1.0 / p.theta, 1.0)]
+    theta, delta = (1.0 + config.a) / 2.0, (1.0 - config.a) / 2.0
+    sigma1 = theta / delta
+    steps = [(0.0, 1.0 / theta, 1.0)]
     rho_prev = 1.0 / sigma1
     for _ in range(1, k):
         rho_cur = 1.0 / (2.0 * sigma1 - rho_prev)
-        steps.append((rho_cur * rho_prev, 2.0 * rho_cur / p.delta, 1.0))
+        steps.append((rho_cur * rho_prev, 2.0 * rho_cur / delta, 1.0))
         rho_prev = rho_cur
     return tuple(steps)
 
@@ -169,7 +166,7 @@ def smoothing_constant(config):
 
     The closed form or shipped value of each family: 1/(2k) for k plain
     sweeps, 3/(4k(k+1)) for cheb4, the beta table's ``gamma_value`` for
-    opt_cheb4 and Lambda_k at the config's endpoint a for opt_cheb1.
+    opt_cheb4 and Lambda_k at a*_k for opt_cheb1.
     """
     k = config.degree
     if config.family == "l1_jacobi":
@@ -181,23 +178,27 @@ def smoothing_constant(config):
     return lambda_of(k, config.a)
 
 
+def error_polynomial(config, t):
+    """The family's error polynomial p(t) at a float, array or numpy ``Polynomial``.
+
+    On numbers its closed form does not cancel near t = 1 as the monomial
+    coefficients do.
+    """
+    k = config.degree
+    if config.family == "l1_jacobi":
+        return (1.0 - t) ** k
+    if config.family == "opt_cheb1":
+        return scaled_cheb_eval(config.a, k, t)
+    W = fourth_kind_basis(1.0 - 2.0 * t, k)
+    if config.family == "cheb4":
+        return W[k] / (2 * k + 1)
+    ext = np.concatenate(([1.0], config.beta.beta, [0.0]))
+    return sum(float((ext[j] - ext[j + 1]) / (2 * j + 1)) * W[j] for j in range(k + 1))
+
+
 def error_polynomial_coeffs(config):
     """Monomial coefficients (ascending) of the family's error polynomial."""
-    k = config.degree
-    t = npoly.Polynomial([0.0, 1.0])
-    if config.family == "l1_jacobi":
-        poly = (1.0 - t) ** k
-    elif config.family in ("cheb4", "opt_cheb4"):
-        W = fourth_kind_basis(1.0 - 2.0 * t, k)
-        if config.family == "cheb4":
-            poly = W[k] / (2 * k + 1)
-        else:
-            ext = np.concatenate(([1.0], config.beta.beta, [0.0]))
-            poly = sum(
-                float((ext[j] - ext[j + 1]) / (2 * j + 1)) * W[j] for j in range(k + 1)
-            )
-    else:
-        poly = scaled_cheb_eval(ScaledChebParams(config.a, k), t)
+    poly = error_polynomial(config, npoly.Polynomial([0.0, 1.0]))
     return np.asarray(poly.coef, dtype=np.float64)
 
 

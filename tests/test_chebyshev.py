@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amgpoly.chebyshev import (
-    ScaledChebParams,
     c1_coefficient,
     cheb1_eval,
     coefficient_roots,
@@ -69,31 +68,24 @@ class TestCheb4:
 class TestScaledCheb:
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            ScaledChebParams(1.0, 3)
+            scaled_cheb_eval(1.0, 3, 0.5)
         with pytest.raises(ValueError):
-            ScaledChebParams(0.5, -1)
-
-    def test_theta_delta_relations(self):
-        p = ScaledChebParams(0.3, 4)
-        assert p.theta + p.delta == pytest.approx(1.0)
-        assert p.theta - p.delta == pytest.approx(0.3)
+            scaled_cheb_eval(0.5, -1, 0.5)
 
     @given(st.floats(0.0, 0.99), st.integers(0, 12))
     @settings(max_examples=100, deadline=None)
     def test_normalized_at_zero(self, a, k):
-        assert scaled_cheb_eval(ScaledChebParams(a, k), 0.0) == pytest.approx(
+        assert scaled_cheb_eval(a, k, 0.0) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_degree_one_root(self):
-        p = ScaledChebParams(1.0 / 3.0, 1)
-        assert scaled_cheb_eval(p, 2.0 / 3.0) == pytest.approx(0.0, abs=1e-15)
+        assert scaled_cheb_eval(1.0 / 3.0, 1, 2.0 / 3.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_value_k2(self):
         # at the optimal endpoint for k=2 the objective equals the reference
         a = 0.1805359927403007
-        p = ScaledChebParams(a, 2)
-        assert smoothing_objective(p, 1.0) == pytest.approx(
+        assert smoothing_objective(a, 2, 1.0) == pytest.approx(
             0.112015284483472, rel=1e-12
         )
 
@@ -101,11 +93,9 @@ class TestScaledCheb:
     @settings(max_examples=100, deadline=None)
     def test_matches_direct_first_kind_map(self, a, k, x):
         # tau_k^{[a,1]}(x) = T_k((theta - x)/delta) / T_k(theta/delta)
-        p = ScaledChebParams(a, k)
-        direct = cheb1_eval(k, (p.theta - x) / p.delta) / cheb1_eval(
-            k, p.theta / p.delta
-        )
-        assert scaled_cheb_eval(p, x) == pytest.approx(direct, abs=1e-10, rel=1e-10)
+        theta, delta = (1.0 + a) / 2.0, (1.0 - a) / 2.0
+        direct = cheb1_eval(k, (theta - x) / delta) / cheb1_eval(k, theta / delta)
+        assert scaled_cheb_eval(a, k, x) == pytest.approx(direct, abs=1e-10, rel=1e-10)
 
 
 class TestC1:
@@ -127,9 +117,8 @@ class TestC1:
     @given(st.floats(0.01, 0.9), st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
     def test_matches_central_difference(self, a, k):
-        p = ScaledChebParams(a, k)
         h = 1e-6
-        fd = (scaled_cheb_eval(p, h) - scaled_cheb_eval(p, -h)) / (2.0 * h)
+        fd = (scaled_cheb_eval(a, k, h) - scaled_cheb_eval(a, k, -h)) / (2.0 * h)
         assert c1_coefficient(a, k) == pytest.approx(fd, rel=1e-7)
 
 
@@ -137,39 +126,35 @@ class TestSmoothingObjective:
     def test_vanishes_at_polynomial_roots(self):
         # roots of tau_k^{[a,1]} are the mapped Chebyshev nodes
         a, k = 0.1, 4
-        p = ScaledChebParams(a, k)
         for j in range(k):
             node = math.cos((2 * j + 1) * math.pi / (2 * k))
-            x = p.theta - p.delta * node
-            assert smoothing_objective(p, x) == pytest.approx(0.0, abs=1e-12)
+            x = (1.0 + a) / 2.0 - (1.0 - a) / 2.0 * node
+            assert smoothing_objective(a, k, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_value_k4(self):
-        p = ScaledChebParams(0.0820780659590383, 4)
-        assert smoothing_objective(p, 1.0) == pytest.approx(
+        assert smoothing_objective(0.0820780659590383, 4, 1.0) == pytest.approx(
             0.0364585625794908, rel=1e-12
         )
 
     def test_equioscillation_at_optimum_k4(self):
         a = 0.0820780659590383
-        p = ScaledChebParams(a, 4)
-        assert smoothing_objective(p, 1.0) == pytest.approx(
+        assert smoothing_objective(a, 4, 1.0) == pytest.approx(
             smoothing_limit_at_zero(a, 4), rel=1e-9
         )
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
-            smoothing_objective(ScaledChebParams(0.1, 2), 1.5)
+            smoothing_objective(0.1, 2, 1.5)
 
 
 class TestMembershipProperties:
     @pytest.mark.parametrize("k", [1, 2, 4, 8, 12])
     def test_scaled_family_in_unit_ball(self, k):
         a = 0.05
-        p = ScaledChebParams(a, k)
         grid = np.linspace(a, 1.0, 10001)
-        vals = np.array([scaled_cheb_eval(p, x) for x in grid])
+        vals = np.array([scaled_cheb_eval(a, k, x) for x in grid])
         assert np.max(np.abs(vals)) <= 1.0 + 1e-10
-        head = np.array([scaled_cheb_eval(p, x) for x in np.linspace(0.0, a, 2001)])
+        head = np.array([scaled_cheb_eval(a, k, x) for x in np.linspace(0.0, a, 2001)])
         assert np.all(np.diff(head) <= 1e-12)  # decreasing toward the interval
 
     @pytest.mark.parametrize("k", [1, 2, 4, 8])

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import json
 import pathlib
 import runpy
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from amgpoly import cli
+from amgpoly.amg import CoarseningConfig, build_hierarchy
 from amgpoly.cli import (
     EXIT_BREAKDOWN,
     EXIT_CONFIG,
@@ -16,9 +19,12 @@ from amgpoly.cli import (
     build_problem,
     main,
     parse_config,
+    parse_values,
     run_solve,
 )
+from amgpoly.krylov import KrylovConfig
 from amgpoly.problems import spectral_synthetic
+from amgpoly.smoothers import PolySmootherConfig
 from amgpoly.sparse import CsrMatrix, write_matrix_market
 
 from conftest import tridiag
@@ -54,10 +60,42 @@ class TestConfigParsing:
             parse_config(str(p), [])
         assert main(["solve", "--config", str(p)]) == EXIT_CONFIG
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        p = tmp_path / "bom.cfg"
+        p.write_bytes(b"\xef\xbb\xbfm = 4\n")
+        assert parse_config(str(p), [])["m"] == "4"
+
+    def test_defaults_agree_with_the_library(self):
+        values = parse_values(parse_config(None, []))
+        hierarchy = {
+            name: param.default
+            for name, param in inspect.signature(build_hierarchy).parameters.items()
+        }
+        field = lambda cls: {f.name: f.default for f in dataclasses.fields(cls)}
+        coarsening = field(CoarseningConfig)
+        krylov = field(KrylovConfig)
+        smoother = field(PolySmootherConfig)
+        library = {
+            "max_levels": hierarchy["max_levels"],
+            "min_coarse_size": hierarchy["min_coarse_size"],
+            "coarse_solver": hierarchy["coarse_solver"],
+            "coarse_sweeps": hierarchy["coarse_sweeps"],
+            "coarsening": coarsening["kind"],
+            "strength_theta": coarsening["strength_theta"],
+            "matching_sweeps": coarsening["matching_sweeps"],
+            "prolongator_smoothing": coarsening["prolongator_smoothing"],
+            "variant": krylov["variant"],
+            "tol": krylov["tol"],
+            "itmax": krylov["itmax"],
+            "smoother": smoother["family"],
+            "degree": smoother["degree"],
+        }
+        assert {key: values[key] for key in library} == library
+
     def test_build_problem_dispatch(self):
-        A, b = build_problem(parse_config(None, ["problem=poisson3d", "m=3"]))
+        A, b = build_problem(parse_values(parse_config(None, ["problem=poisson3d", "m=3"])))
         assert A.nrows == 27
-        A, b = build_problem(parse_config(None, ["problem=spectral", "n=8"]))
+        A, b = build_problem(parse_values(parse_config(None, ["problem=spectral", "n=8"])))
         assert A.nrows == 8
 
 
@@ -113,6 +151,12 @@ class TestExitCodes:
         args = ["solve", "--override", "m=6", "--override", "coarse_sweeps=0"]
         assert main(args) == EXIT_CONFIG
         assert "coarse_sweeps must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_levels", [0, -1])
+    def test_max_levels_below_one_is_2(self, max_levels, capsys):
+        args = ["solve", "--override", "m=6", "--override", f"max_levels={max_levels}"]
+        assert main(args) == EXIT_CONFIG
+        assert "max_levels must be >= 1" in capsys.readouterr().err
 
     def test_unknown_coarse_solver_is_2(self, capsys):
         args = ["solve", "--override", "m=6", "--override", "coarse_solver=bogus"]

@@ -74,13 +74,6 @@ class TestSolve:
         assert not rep.converged
         assert rep.iterations == 0
 
-    def test_warm_start(self):
-        A = tridiag(30)
-        b = np.ones(30)
-        x_star, _ = solve(A, b, cfg=KrylovConfig(tol=1e-12, itmax=100))
-        _, rep = solve(A, b, x0=x_star, cfg=KrylovConfig(tol=1e-10))
-        assert rep.iterations == 0
-
     def test_a_norm_error_monotone(self):
         A = random_spd(25, seed=6)
         Ad = A.to_dense()

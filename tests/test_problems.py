@@ -170,7 +170,7 @@ class TestSpectral:
         assert np.allclose(np.sort(w), np.sort(op.eigenvalues), atol=1e-12)
 
     def test_large_operator_dense_matvec_matches_factored_reference(self):
-        op = SpectralOperator(600, np.linspace(0.01, 1.0, 600))
+        op = SpectralOperator(np.linspace(0.01, 1.0, 600))
         x = np.ones(600)
         direct = (op.basis() * op.eigenvalues) @ (op.basis().T @ x)
         assert np.allclose(op.matvec(x), direct, atol=1e-12)

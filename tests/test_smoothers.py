@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amgpoly.chebyshev import ScaledChebParams, fourth_kind_basis, scaled_cheb_eval
+from amgpoly.chebyshev import fourth_kind_basis, scaled_cheb_eval
 from amgpoly.amg import CoarseningConfig, build_hierarchy
 from amgpoly.problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
 from amgpoly.smoothers import (
     FAMILIES,
     PolySmootherConfig,
     as_preconditioner,
+    error_polynomial,
     error_polynomial_coeffs,
     l1_jacobi_diag,
     smoother_apply,
@@ -70,7 +71,7 @@ class TestL1Diag:
 
     def test_spectral_operator_negative_eigenvalues_rejected(self):
         with pytest.raises(ValueError, match="non-positive diagonal"):
-            l1_jacobi_diag(SpectralOperator(8, -np.linspace(0.1, 1.0, 8)))
+            l1_jacobi_diag(SpectralOperator(-np.linspace(0.1, 1.0, 8)))
 
     def test_spectrum_of_scaled_operator_in_unit_interval(self):
         A = random_spd(30, seed=5)
@@ -131,12 +132,10 @@ class TestSmootherApply:
         lam = np.array([0.05, 0.2, 0.5, 0.9, 1.0])
         A = CsrMatrix.from_dense(np.diag(lam))
         M = np.ones(5)
-        a = 0.1
-        cfg = PolySmootherConfig(family="opt_cheb1", degree=k, a=a)
+        cfg = PolySmootherConfig(family="opt_cheb1", degree=k)
         e0 = np.array([1.0, -1.0, 2.0, 0.5, -0.25])
         out = smoother_error_apply(cfg, A, M, e0)
-        p = ScaledChebParams(a, k)
-        expected = np.array([scaled_cheb_eval(p, l) for l in lam]) * e0
+        expected = np.array([scaled_cheb_eval(cfg.a, k, l) for l in lam]) * e0
         assert np.allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -258,37 +257,15 @@ class TestErrorPolynomial:
         assert error_polynomial_coeffs(cfg)[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def stable_error_polynomial(cfg):
-    """The family's p(t) on an array, in a form that does not cancel near t = 1.
-
-    The monomial coefficients do cancel there: evaluated from them, the grid
-    oracle moves by up to 1.8e-7 relative for k <= 12.
-    """
-    k = cfg.degree
-    if cfg.family == "l1_jacobi":
-        return lambda t: (1.0 - t) ** k
-    if cfg.family == "opt_cheb1":
-        return lambda t: scaled_cheb_eval(ScaledChebParams(cfg.a, k), t)
-    # cheb4 is opt_cheb4 with every beta_j = 1: only W_k/(2k+1) remains
-    betas = cfg.beta.beta if cfg.family == "opt_cheb4" else np.ones(k)
-    ext = np.concatenate(([1.0], betas, [0.0]))
-    weights = (ext[:-1] - ext[1:]) / (2 * np.arange(k + 1) + 1)
-
-    def p(t):
-        W = fourth_kind_basis(1.0 - 2.0 * t, k)
-        return sum(weights[j] * W[j] for j in range(k + 1))
-
-    return p
-
-
 class TestSmoothingConstant:
     @pytest.mark.parametrize("k", range(1, 13))
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_grid_oracle(self, family, k):
         # the sup of t p(t)^2/(1 - p(t)^2) over 20001 points and the t -> 0+
-        # limit, with p evaluated directly, not through the closed-form gamma
+        # limit, with p evaluated directly, not through the closed-form gamma;
+        # the monomial coefficients would cancel near t = 1
         cfg = PolySmootherConfig(family=family, degree=k)
-        grid = evaluate_gamma_numeric(stable_error_polynomial(cfg),
+        grid = evaluate_gamma_numeric(lambda t: error_polynomial(cfg, t),
                                       c1=error_polynomial_coeffs(cfg)[1])
         assert smoothing_constant(cfg) == pytest.approx(grid, rel=1e-12)
 
@@ -297,15 +274,9 @@ class TestSmoothingConstant:
         # the shipped gamma is a sup: it may not lie under the oracle's grid
         # maximum or its t -> 0+ limit by more than rounding
         cfg = PolySmootherConfig(family="opt_cheb4", degree=k)
-        grid = evaluate_gamma_numeric(stable_error_polynomial(cfg),
+        grid = evaluate_gamma_numeric(lambda t: error_polynomial(cfg, t),
                                       c1=error_polynomial_coeffs(cfg)[1])
         assert smoothing_constant(cfg) >= grid * (1.0 - 1e-12)
-
-    def test_opt_cheb1_reads_the_config_endpoint(self):
-        cfg = PolySmootherConfig(family="opt_cheb1", degree=4, a=0.1)
-        grid = evaluate_gamma_numeric(stable_error_polynomial(cfg),
-                                      c1=error_polynomial_coeffs(cfg)[1])
-        assert smoothing_constant(cfg) == pytest.approx(grid, rel=1e-12)
 
 
 class TestOracleEquivalence:
