@@ -56,12 +56,6 @@ from .smoothers import (
     smoother_error_oracle,
     smoothing_constant,
 )
-from .sparse import (
-    CsrMatrix,
-    read_matrix_market,
-    spmv,
-    spmv_count,
-    write_matrix_market,
-)
+from .sparse import CsrMatrix, spmv, spmv_count
 
 __version__ = "0.1.0"

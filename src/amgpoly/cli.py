@@ -6,7 +6,6 @@ optimize       CSV of per-degree smoother parameters and bounds
 bounds         CSV comparing the three smoothing-constant series
 solve          AMG-PCG run from a flat key=value config file, JSON report
 spectrum-grid  iteration-count grid for polynomial-preconditioned CG
-import         summarize a Matrix Market file
 
 Every command is a pure function of its inputs and the shipped parameter
 tables: outputs are byte-identical across runs.  Wall-clock metadata goes to
@@ -21,18 +20,17 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
-
-import numpy as np
 
 from .amg import COARSE_SOLVERS, CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
 from .krylov import KrylovConfig, solve
 from .optimize import params_csv_rows
 from .problems import aniso2d_q1, poisson3d, spectral_synthetic
 from .smoothers import PolySmootherConfig, as_preconditioner, l1_jacobi_diag
-from .sparse import MAX_DENSE_N, read_matrix_market
+from .sparse import MAX_DENSE_N
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,12 +121,26 @@ def _one_of(names, what):
     return parse
 
 
+def _finite(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {s!r}")
+    return v
+
+
+def _finite_positive(s):
+    v = float(s)
+    if not 0.0 < v < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"must be finite and positive, got {s!r}")
+    return v
+
+
 # every key of the solve config: its default string and its parser
 _SOLVE_KEYS = {
     "problem": ("poisson3d", str),
     "m": ("8", int),
-    "epsilon": ("1.0", float),
-    "angle": ("0.0", float),
+    "epsilon": ("1.0", _finite_positive),
+    "angle": ("0.0", _finite),
     "n": ("64", int),
     "distribution": ("equispaced", _one_of(GRID_DISTRIBUTIONS, "distribution")),
     "coarsening": ("smoothed_aggregation", str),
@@ -285,28 +297,6 @@ def cmd_spectrum_grid(args):
     return EXIT_OK
 
 
-# -- import ------------------------------------------------------------------
-
-
-def cmd_import(args):
-    try:
-        A = read_matrix_market(args.matrix)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read matrix {args.matrix}: {exc}") from exc
-    info = {
-        "path": args.matrix,
-        "nrows": A.nrows,
-        "ncols": A.ncols,
-        "nnz": A.nnz,
-        "symmetric": bool(A.is_symmetric()),
-    }
-    d = A.diagonal() if A.nrows == A.ncols else np.array([])
-    info["positive_diagonal"] = bool(len(d) and np.all(d > 0))
-    json.dump(info, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return EXIT_OK
-
-
 # -- entry point -------------------------------------------------------------
 
 
@@ -337,10 +327,6 @@ def make_parser():
     pg.add_argument("--itmax", type=int, default=2000)
     pg.add_argument("--output", "-o", default=None)
     pg.set_defaults(func=cmd_spectrum_grid)
-
-    pi = sub.add_parser("import", help="summarize a Matrix Market file")
-    pi.add_argument("--matrix", required=True)
-    pi.set_defaults(func=cmd_import)
     return p
 
 

@@ -57,8 +57,7 @@ def solve(A, b, precond=None, cfg=None):
     if bnorm == 0.0:
         return x, SolveReport(0, True, 0.0, [], 0, 0)
 
-    r = b - A.matvec(x)
-    spmv += 1
+    r = b.copy()  # b - A x, as x = 0
     history = []
     relres = np.linalg.norm(r) / bnorm
     if cfg.record_history:

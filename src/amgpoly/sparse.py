@@ -1,4 +1,4 @@
-"""Sparse CSR storage, counted SpMV and Matrix Market I/O.
+"""Sparse CSR storage and counted SpMV.
 
 ``CsrMatrix`` is one scipy CSR matrix with checked structure: sorted,
 duplicate-free columns.  Every operator application of the solve phase
@@ -158,26 +158,3 @@ def spmv(A, x):
     _spmv_calls += 1
     return A.to_scipy().dot(x)
 
-
-# -- Matrix Market I/O ------------------------------------------------------
-# scipy.io is imported on first use, so ``import amgpoly`` does not load it.
-
-
-def read_matrix_market(path):
-    """Read a coordinate Matrix Market file; symmetric storage is expanded."""
-    import scipy.io
-
-    m = scipy.io.mmread(path)
-    if not scipy.sparse.issparse(m):
-        m = scipy.sparse.csr_matrix(m)
-    return CsrMatrix.from_scipy(m)
-
-
-def write_matrix_market(path, A, symmetric=False):
-    import scipy.io
-
-    m = A.to_scipy()
-    if symmetric:
-        scipy.io.mmwrite(path, scipy.sparse.tril(m), symmetry="symmetric")
-    else:
-        scipy.io.mmwrite(path, m, symmetry="general")

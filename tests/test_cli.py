@@ -25,7 +25,7 @@ from amgpoly.cli import (
 from amgpoly.krylov import KrylovConfig
 from amgpoly.problems import spectral_synthetic
 from amgpoly.smoothers import PolySmootherConfig
-from amgpoly.sparse import CsrMatrix, write_matrix_market
+from amgpoly.sparse import CsrMatrix
 
 from conftest import tridiag
 
@@ -177,6 +177,20 @@ class TestExitCodes:
         args = ["solve"] + [arg for o in overrides for arg in ("--override", o)]
         assert main(args) == EXIT_CONFIG
         assert repr(overrides[-1].partition("=")[2]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("epsilon=0", "epsilon: must be finite and positive"),
+        ("epsilon=-1", "epsilon: must be finite and positive"),
+        ("epsilon=nan", "epsilon: must be finite and positive"),
+        ("epsilon=inf", "epsilon: must be finite and positive"),
+        ("angle=nan", "angle: must be finite"),
+        ("angle=inf", "angle: must be finite"),
+    ])
+    def test_degenerate_aniso2d_coefficient_is_2(self, override, message, capsys):
+        args = ["solve", "--override", "problem=aniso2d", "--override", "m=8",
+                "--override", override]
+        assert main(args) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_nan_tol_is_2(self, capsys):
         assert main(["solve", "--override", "m=6", "--override", "tol=nan"]) == EXIT_CONFIG
@@ -432,27 +446,3 @@ class TestSpectrumGridCommand:
             (dist, n) for dist in cli.GRID_DISTRIBUTIONS for n in (16, 32)
         )
         assert len(list(csv.DictReader(out.open()))) == 3 * 2 * 3
-
-
-class TestImportCommand:
-    def test_summary(self, tmp_path, capsys):
-        p = tmp_path / "m.mtx"
-        write_matrix_market(p, tridiag(6), symmetric=True)
-        assert main(["import", "--matrix", str(p)]) == EXIT_OK
-        info = json.loads(capsys.readouterr().out)
-        assert info["nrows"] == 6
-        assert info["nnz"] == 16
-        assert info["symmetric"] is True
-        assert info["positive_diagonal"] is True
-
-    def test_missing_file_is_config_error(self, capsys):
-        assert main(["import", "--matrix", "/nonexistent.mtx"]) == EXIT_CONFIG
-
-    def test_complex_values_are_config_error(self, tmp_path, capsys):
-        p = tmp_path / "herm.mtx"
-        p.write_text(
-            "%%MatrixMarket matrix coordinate complex hermitian\n"
-            "2 2 3\n1 1 2.0 0.0\n2 1 1.0 1.0\n2 2 2.0 0.0\n"
-        )
-        assert main(["import", "--matrix", str(p)]) == EXIT_CONFIG
-        assert "complex" in capsys.readouterr().err

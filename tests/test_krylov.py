@@ -107,5 +107,6 @@ class TestFcgAgreement:
             precond = as_vcycle_preconditioner(h)
             _, rep = solve(A, b, precond=precond, cfg=KrylovConfig(variant=variant))
             assert rep.converged
+            assert rep.spmv_count == rep.iterations  # x starts at 0: no SpMV for r
             counts[variant] = rep.iterations
         assert abs(counts["pcg"] - counts["fcg"]) <= 1

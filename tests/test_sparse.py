@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 import amgpoly
 from amgpoly.problems import poisson3d
-from amgpoly.sparse import (
-    CsrMatrix,
-    read_matrix_market,
-    spmv,
-    write_matrix_market,
-)
+from amgpoly.sparse import CsrMatrix, spmv
 
 from conftest import random_spd, tridiag
 
@@ -51,6 +46,12 @@ class TestCsrMatrix:
     def test_columns_restart_at_each_row(self):
         A = CsrMatrix(3, 3, np.array([0, 2, 2, 4]), np.array([1, 2, 0, 2]), np.ones(4))
         assert A.nnz == 4
+
+    def test_complex_values_rejected(self):
+        with pytest.raises(ValueError, match="complex"):
+            CsrMatrix(2, 2, [0, 1, 2], [0, 1], [1 + 1j, 2.0])
+        with pytest.raises(ValueError, match="complex"):
+            CsrMatrix.from_scipy(scipy.sparse.csr_matrix(np.array([[2.0, 1j], [-1j, 2.0]])))
 
     def test_arrays_are_the_scipy_matrix(self):
         A = tridiag(5)
@@ -142,28 +143,9 @@ class TestGalerkinSymmetry:
         assert np.max(np.abs(R - R.T)) <= 1e-13 * np.max(np.abs(R))
 
 
-class TestMatrixMarket:
-    def test_roundtrip_general(self, tmp_path):
-        A = tridiag(6)
-        p = tmp_path / "a.mtx"
-        write_matrix_market(p, A)
-        B = read_matrix_market(p)
-        assert np.array_equal(A.to_dense(), B.to_dense())
-
-    def test_symmetric_storage_expanded(self, tmp_path):
-        A = tridiag(6)
-        p = tmp_path / "a_sym.mtx"
-        write_matrix_market(p, A, symmetric=True)
-        B = read_matrix_market(p)
-        assert B.nnz == A.nnz
-        assert np.array_equal(A.to_dense(), B.to_dense())
-
-    def test_import_leaves_scipy_io_unloaded(self):
-        assert not loaded_by_import_amgpoly("scipy.io")
-
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        # only coarse_solver=dense_direct needs it, and imports it itself
-        assert not loaded_by_import_amgpoly("scipy.linalg")
+def test_import_leaves_scipy_linalg_unloaded():
+    # only coarse_solver=dense_direct needs it, and imports it itself
+    assert not loaded_by_import_amgpoly("scipy.linalg")
 
 
 @pytest.mark.parametrize("argv", [
