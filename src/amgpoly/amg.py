@@ -27,17 +27,16 @@ terms per entry, and such a sum does not depend on the order of its terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
 from .smoothers import PolySmootherConfig, l1_jacobi_diag, smoother_apply, smoothing_constant
-from .sparse import MAX_DENSE_N, CsrMatrix, spmv
+from .sparse import CsrMatrix, spmv
 
 # Power-iteration steps of estimate_lambda_max
 POWER_STEPS = 25
-COARSE_SOLVERS = ("l1_jacobi", "dense_direct")
 
 
 @dataclass
@@ -45,7 +44,6 @@ class CoarseningConfig:
     kind: str = "smoothed_aggregation"  # or "pairwise_matching"
     strength_theta: float = 0.01
     matching_sweeps: int = 3  # aggregates up to 2^sweeps
-    prolongator_smoothing: bool = True
 
     def __post_init__(self):
         if self.kind not in ("smoothed_aggregation", "pairwise_matching"):
@@ -66,21 +64,13 @@ class Level:
 
 @dataclass(frozen=True)
 class AmgHierarchy:
-    """Levels fine to coarse, the one smoother of every level and one coarse solver.
-
-    Exactly one of ``coarse_smoother`` (the ``l1_jacobi`` sweeps) and
-    ``coarse_factor`` (the ``dense_direct`` Cholesky factor) is set.
-    """
+    """Levels fine to coarse, the one smoother of every level below the
+    coarsest and the ``l1_jacobi`` sweeps that solve the coarsest."""
 
     levels: tuple
     smoother: PolySmootherConfig
-    coarse_smoother: PolySmootherConfig | None
-    coarse_factor: tuple | None = field(default=None, repr=False)
+    coarse_smoother: PolySmootherConfig
     stagnated: bool = False
-
-    @property
-    def coarse_solver(self):
-        return "l1_jacobi" if self.coarse_factor is None else "dense_direct"
 
     def operator_complexity(self):
         return sum(l.A.nnz for l in self.levels) / self.levels[0].A.nnz
@@ -97,7 +87,6 @@ class AmgHierarchy:
                 }
                 for l in self.levels
             ],
-            "coarse_solver": self.coarse_solver,
             "operator_complexity": self.operator_complexity(),
             "stagnated": self.stagnated,
         }
@@ -295,24 +284,19 @@ def build_hierarchy(
     smoother=None,
     max_levels=10,
     min_coarse_size=200,
-    coarse_solver="l1_jacobi",
     coarse_sweeps=30,
 ):
     """Build levels until the coarse size or level cap is hit.
 
     Stops early (with ``stagnated`` set) if two successive coarsenings fail
     to shrink the problem below 95% of the fine size.  Raises ``ValueError``
-    unless ``A`` is square and symmetric with a positive diagonal, the
-    coarse solver is one of ``COARSE_SOLVERS`` and ``max_levels`` and
-    ``coarse_sweeps`` are at least 1.  Only the fine level is checked: the
-    coarser ones are its Galerkin products.  Every operator the V-cycle
-    reads is built here: each level's restriction ``R = P^T`` and, for
-    ``dense_direct``, the Cholesky factor of the coarsest level, which must
-    have at most ``MAX_DENSE_N`` rows and be positive definite
-    (``ValueError`` otherwise).
+    unless ``A`` is square and symmetric with a positive diagonal and
+    ``max_levels`` and ``coarse_sweeps`` are at least 1.  Only the fine
+    level is checked: the coarser ones are its Galerkin products.  Every
+    operator the V-cycle reads is built here: each level's smoothed
+    prolongator ``P``, its restriction ``R = P^T`` and l1-Jacobi diagonal;
+    the coarsest level is solved by ``coarse_sweeps`` l1-Jacobi sweeps.
     """
-    if coarse_solver not in COARSE_SOLVERS:
-        raise ValueError(f"unknown coarse solver {coarse_solver!r}")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     if coarse_sweeps < 1:
@@ -334,11 +318,8 @@ def build_hierarchy(
             P_hat = sa_aggregate(Al, coarsening.strength_theta)
         else:
             P_hat = matching_aggregate(Al, coarsening.matching_sweeps)
-        if coarsening.prolongator_smoothing:
-            lam = estimate_lambda_max(Al)
-            P = smooth_prolongator(Al, P_hat, 4.0 / (3.0 * lam))
-        else:
-            P = P_hat
+        lam = estimate_lambda_max(Al)
+        P = smooth_prolongator(Al, P_hat, 4.0 / (3.0 * lam))
         if P.ncols >= 0.95 * Al.nrows:
             stagnated += 1
         else:
@@ -349,26 +330,10 @@ def build_hierarchy(
         levels[-1].P, levels[-1].R = P, R
         Ac = galerkin_rap(Al, P, R)
         levels.append(Level(A=Ac, M=l1_jacobi_diag(Ac)))
-    coarse_smoother = coarse_factor = None
-    if coarse_solver == "l1_jacobi":
-        coarse_smoother = PolySmootherConfig(family="l1_jacobi", degree=coarse_sweeps)
-    else:
-        Ac = levels[-1].A
-        if Ac.nrows > MAX_DENSE_N:
-            raise ValueError(
-                f"dense_direct coarsest level has {Ac.nrows} rows, more than {MAX_DENSE_N}"
-            )
-        from scipy.linalg import cho_factor  # only dense_direct loads scipy.linalg
-
-        try:
-            coarse_factor = cho_factor(Ac.to_dense(), lower=True)
-        except np.linalg.LinAlgError as exc:  # non-positive pivot
-            raise ValueError("dense_direct coarsest level is not positive definite") from exc
     return AmgHierarchy(
         levels=tuple(levels),
         smoother=smoother,
-        coarse_smoother=coarse_smoother,
-        coarse_factor=coarse_factor,
+        coarse_smoother=PolySmootherConfig(family="l1_jacobi", degree=coarse_sweeps),
         stagnated=stagnated >= 2,
     )
 
@@ -388,10 +353,6 @@ def vcycle_apply(h, r, _level=0):
     if len(r) != level.A.nrows:
         raise ValueError("dimension mismatch")
     if _level == len(h.levels) - 1:
-        if h.coarse_factor is not None:
-            from scipy.linalg import cho_solve
-
-            return cho_solve(h.coarse_factor, r)
         return smoother_apply(h.coarse_smoother, level.A, level.M, r)
     x = smoother_apply(h.smoother, level.A, level.M, r)
     rc = spmv(level.R, r - spmv(level.A, x))

@@ -25,7 +25,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .amg import COARSE_SOLVERS, CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
+from .amg import CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
 from .krylov import KrylovConfig, solve
 from .optimize import params_csv_rows
 from .problems import aniso2d_q1, poisson3d, spectral_synthetic
@@ -106,12 +106,6 @@ def cmd_bounds(args):
 GRID_DISTRIBUTIONS = ("equispaced", "boundary", "gapped")
 
 
-def _to_bool(s):
-    if s.lower() not in ("true", "1", "yes", "false", "0", "no"):
-        raise ValueError(f"expected a boolean, got {s!r}")
-    return s.lower() in ("true", "1", "yes")
-
-
 def _one_of(names, what):
     def parse(s):
         if s not in names:
@@ -146,13 +140,11 @@ _SOLVE_KEYS = {
     "coarsening": ("smoothed_aggregation", str),
     "strength_theta": ("0.01", float),
     "matching_sweeps": ("3", int),
-    "prolongator_smoothing": ("true", _to_bool),
     "smoother": ("opt_cheb1", str),
     "degree": ("4", int),
     "variant": ("pcg", str),
     "tol": ("1e-7", float),
     "itmax": ("1000", int),
-    "coarse_solver": ("l1_jacobi", _one_of(COARSE_SOLVERS, "coarse solver")),
     "coarse_sweeps": ("30", int),
     "min_coarse_size": ("200", int),
     "max_levels": ("10", int),
@@ -220,7 +212,6 @@ def run_solve(cfg):
             kind=v["coarsening"],
             strength_theta=v["strength_theta"],
             matching_sweeps=v["matching_sweeps"],
-            prolongator_smoothing=v["prolongator_smoothing"],
         )
         kcfg = KrylovConfig(variant=v["variant"], tol=v["tol"], itmax=v["itmax"])
         A, b = build_problem(v)
@@ -235,7 +226,6 @@ def run_solve(cfg):
                 smoother=smoother,
                 max_levels=v["max_levels"],
                 min_coarse_size=v["min_coarse_size"],
-                coarse_solver=v["coarse_solver"],
                 coarse_sweeps=v["coarse_sweeps"],
             )
             precond = as_vcycle_preconditioner(hierarchy)

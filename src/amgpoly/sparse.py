@@ -19,8 +19,7 @@ import numpy as np
 import scipy.sparse
 
 # Largest dense n x n array the library assembles: the synthetic spectral
-# operator (``solve problem=spectral``, spectrum-grid sizes) and the
-# ``dense_direct`` coarsest level.
+# operator (``solve problem=spectral`` and the spectrum-grid sizes).
 MAX_DENSE_N = 1024
 
 # Global SpMV counter; callers count a span of work as the difference of two

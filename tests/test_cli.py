@@ -25,7 +25,7 @@ from amgpoly.cli import (
 from amgpoly.krylov import KrylovConfig
 from amgpoly.problems import spectral_synthetic
 from amgpoly.smoothers import PolySmootherConfig
-from amgpoly.sparse import CsrMatrix
+from amgpoly.sparse import MAX_DENSE_N, CsrMatrix
 
 from conftest import tridiag
 
@@ -78,12 +78,10 @@ class TestConfigParsing:
         library = {
             "max_levels": hierarchy["max_levels"],
             "min_coarse_size": hierarchy["min_coarse_size"],
-            "coarse_solver": hierarchy["coarse_solver"],
             "coarse_sweeps": hierarchy["coarse_sweeps"],
             "coarsening": coarsening["kind"],
             "strength_theta": coarsening["strength_theta"],
             "matching_sweeps": coarsening["matching_sweeps"],
-            "prolongator_smoothing": coarsening["prolongator_smoothing"],
             "variant": krylov["variant"],
             "tol": krylov["tol"],
             "itmax": krylov["itmax"],
@@ -100,8 +98,12 @@ class TestConfigParsing:
 
 
 class TestExitCodes:
-    def test_config_error_is_2(self, capsys):
-        assert main(["solve", "--override", "bogus=1"]) == EXIT_CONFIG
+    @pytest.mark.parametrize("override", [
+        "bogus=1", "coarse_solver=l1_jacobi", "prolongator_smoothing=true",
+    ])
+    def test_config_error_is_2(self, override, capsys):
+        assert main(["solve", "--override", override]) == EXIT_CONFIG
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_opt_cheb4_without_table_is_2(self, capsys):
         args = ["solve", "--override", "smoother=opt_cheb4", "--override", "degree=14"]
@@ -137,15 +139,18 @@ class TestExitCodes:
         assert main(args) == EXIT_CONFIG
         assert ">= 2" in capsys.readouterr().err
 
-    def test_oversize_dense_coarse_is_2(self, monkeypatch, capsys):
+    def test_oversize_single_level_is_not_densified(self, monkeypatch, tmp_path, capsys):
+        # the l1-Jacobi coarse solve has no size cap: 1728 rows > MAX_DENSE_N
         def no_densify(A):
             raise AssertionError("the coarsest level must not be densified")
 
         monkeypatch.setattr(CsrMatrix, "to_dense", no_densify)
-        args = ["solve", "--override", "m=12", "--override", "max_levels=1",
-                "--override", "coarse_solver=dense_direct"]
-        assert main(args) == EXIT_CONFIG
-        assert "1728 rows, more than 1024" in capsys.readouterr().err
+        out = tmp_path / "r.json"
+        args = ["solve", "--override", "m=12", "--override", "max_levels=1", "-o", str(out)]
+        assert main(args) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert [lv["size"] for lv in report["hierarchy"]["levels"]] == [1728]
+        assert 1728 > MAX_DENSE_N
 
     def test_zero_coarse_sweeps_is_2(self, capsys):
         args = ["solve", "--override", "m=6", "--override", "coarse_sweeps=0"]
@@ -158,16 +163,11 @@ class TestExitCodes:
         assert main(args) == EXIT_CONFIG
         assert "max_levels must be >= 1" in capsys.readouterr().err
 
-    def test_unknown_coarse_solver_is_2(self, capsys):
-        args = ["solve", "--override", "m=6", "--override", "coarse_solver=bogus"]
-        assert main(args) == EXIT_CONFIG
-        assert "unknown coarse solver 'bogus'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("overrides", [
         ["problem=spectral", "max_levels=abc"],
         ["problem=spectral", "m=abc"],
         ["problem=spectral", "angle=abc"],
-        ["problem=spectral", "coarse_solver=bogus"],
+        ["problem=spectral", "coarse_sweeps=abc"],
         ["problem=poisson3d", "m=4", "n=abc"],
         ["problem=poisson3d", "m=4", "epsilon=abc"],
         ["problem=aniso2d", "m=4", "n=abc"],
@@ -297,17 +297,19 @@ class TestSolveCommand:
         assert report["hierarchy"]["levels"][0]["size"] == 216
 
     @pytest.mark.parametrize("coarsening", ["smoothed_aggregation", "pairwise_matching"])
-    def test_unsmoothed_prolongator_converges(self, coarsening, tmp_path, capsys):
+    def test_report_omits_removed_fork_keys(self, coarsening, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main([
             "solve",
             "--override", "m=12",
             "--override", f"coarsening={coarsening}",
-            "--override", "prolongator_smoothing=false",
             "-o", str(out),
         ]) == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["config"]["prolongator_smoothing"] == "false"
+        assert "prolongator_smoothing" not in report["config"]
+        assert "coarse_solver" not in report["config"]
+        assert "coarse_solver" not in report["hierarchy"]
+        assert report["config"]["coarse_sweeps"] == "30"
         assert report["solve"]["converged"] is True
 
     def test_itmax_one_not_converged(self, tmp_path, capsys):

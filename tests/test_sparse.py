@@ -144,7 +144,7 @@ class TestGalerkinSymmetry:
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # only coarse_solver=dense_direct needs it, and imports it itself
+    # no amgpoly code uses it: the dense algebra is numpy.linalg
     assert not loaded_by_import_amgpoly("scipy.linalg")
 
 
