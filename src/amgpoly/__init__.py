@@ -9,8 +9,8 @@ smoother parameters (``optimize``), the runtime smoother kernels
 """
 
 from .amg import (
+    COARSENINGS,
     AmgHierarchy,
-    CoarseningConfig,
     Level,
     as_vcycle_preconditioner,
     build_hierarchy,

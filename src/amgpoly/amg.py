@@ -38,23 +38,11 @@ from .sparse import CsrMatrix, spmv
 # Power-iteration steps of estimate_lambda_max
 POWER_STEPS = 25
 
-
-@dataclass
-class CoarseningConfig:
-    kind: str = "smoothed_aggregation"  # or "pairwise_matching"
-    strength_theta: float = 0.01
-    matching_sweeps: int = 3  # aggregates up to 2^sweeps
-
-    def __post_init__(self):
-        if self.kind not in ("smoothed_aggregation", "pairwise_matching"):
-            raise ValueError(f"unknown coarsening kind {self.kind!r}")
-        if not 0.0 <= self.strength_theta < 1.0:
-            raise ValueError("strength_theta must lie in [0, 1)")
-        if self.matching_sweeps < 1:
-            raise ValueError("matching_sweeps must be >= 1")
+# The coarsening kinds of build_hierarchy: sa_aggregate, matching_aggregate
+COARSENINGS = ("smoothed_aggregation", "pairwise_matching")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Level:
     A: CsrMatrix
     M: np.ndarray  # l1-Jacobi diagonal
@@ -280,7 +268,7 @@ def galerkin_rap(A, P, R):
 
 def build_hierarchy(
     A,
-    coarsening=None,
+    coarsening="smoothed_aggregation",
     smoother=None,
     max_levels=10,
     min_coarse_size=200,
@@ -288,15 +276,20 @@ def build_hierarchy(
 ):
     """Build levels until the coarse size or level cap is hit.
 
-    Stops early (with ``stagnated`` set) if two successive coarsenings fail
-    to shrink the problem below 95% of the fine size.  Raises ``ValueError``
-    unless ``A`` is square and symmetric with a positive diagonal and
-    ``max_levels`` and ``coarse_sweeps`` are at least 1.  Only the fine
-    level is checked: the coarser ones are its Galerkin products.  Every
-    operator the V-cycle reads is built here: each level's smoothed
-    prolongator ``P``, its restriction ``R = P^T`` and l1-Jacobi diagonal;
-    the coarsest level is solved by ``coarse_sweeps`` l1-Jacobi sweeps.
+    ``coarsening`` is one of ``COARSENINGS``: ``sa_aggregate`` or
+    ``matching_aggregate`` at their default strength threshold and sweep
+    count.  Stops early (with ``stagnated`` set) if two successive
+    coarsenings fail to shrink the problem below 95% of the fine size.
+    Raises ``ValueError`` for an unknown ``coarsening`` and unless ``A`` is
+    square and symmetric with a positive diagonal and ``max_levels`` and
+    ``coarse_sweeps`` are at least 1.  Only the fine level is checked: the
+    coarser ones are its Galerkin products.  Every operator the V-cycle
+    reads is built here: each level's smoothed prolongator ``P``, its
+    restriction ``R = P^T`` and l1-Jacobi diagonal; the coarsest level is
+    solved by ``coarse_sweeps`` l1-Jacobi sweeps.
     """
+    if coarsening not in COARSENINGS:
+        raise ValueError(f"unknown coarsening kind {coarsening!r}")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     if coarse_sweeps < 1:
@@ -304,20 +297,19 @@ def build_hierarchy(
     M = l1_jacobi_diag(A)  # rejects a matrix not square or without a positive diagonal
     if not A.is_symmetric():
         raise ValueError("A must be symmetric")
-    coarsening = coarsening or CoarseningConfig()
     smoother = smoother or PolySmootherConfig()
-    levels = [Level(A=A, M=M)]
+    levels = []  # each Level is built once its P and R are known
+    Al, Ml = A, M
     stagnated = 0
     while (
-        levels[-1].A.nrows > min_coarse_size
-        and len(levels) < max_levels
+        Al.nrows > min_coarse_size
+        and len(levels) + 1 < max_levels
         and stagnated < 2
     ):
-        Al = levels[-1].A
-        if coarsening.kind == "smoothed_aggregation":
-            P_hat = sa_aggregate(Al, coarsening.strength_theta)
+        if coarsening == "smoothed_aggregation":
+            P_hat = sa_aggregate(Al)
         else:
-            P_hat = matching_aggregate(Al, coarsening.matching_sweeps)
+            P_hat = matching_aggregate(Al)
         lam = estimate_lambda_max(Al)
         P = smooth_prolongator(Al, P_hat, 4.0 / (3.0 * lam))
         if P.ncols >= 0.95 * Al.nrows:
@@ -327,9 +319,10 @@ def build_hierarchy(
         if P.ncols >= Al.nrows:
             break
         R = P.transpose()
-        levels[-1].P, levels[-1].R = P, R
-        Ac = galerkin_rap(Al, P, R)
-        levels.append(Level(A=Ac, M=l1_jacobi_diag(Ac)))
+        levels.append(Level(A=Al, M=Ml, P=P, R=R))
+        Al = galerkin_rap(Al, P, R)
+        Ml = l1_jacobi_diag(Al)
+    levels.append(Level(A=Al, M=Ml))
     return AmgHierarchy(
         levels=tuple(levels),
         smoother=smoother,

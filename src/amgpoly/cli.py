@@ -25,12 +25,11 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .amg import CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
+from .amg import as_vcycle_preconditioner, build_hierarchy
 from .krylov import KrylovConfig, solve
 from .optimize import params_csv_rows
-from .problems import aniso2d_q1, poisson3d, spectral_synthetic
+from .problems import MAX_DENSE_N, aniso2d_q1, poisson3d, spectral_synthetic
 from .smoothers import PolySmootherConfig, as_preconditioner, l1_jacobi_diag
-from .sparse import MAX_DENSE_N
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,18 +102,6 @@ def cmd_bounds(args):
 
 # -- solve -------------------------------------------------------------------
 
-GRID_DISTRIBUTIONS = ("equispaced", "boundary", "gapped")
-
-
-def _one_of(names, what):
-    def parse(s):
-        if s not in names:
-            raise ValueError(f"unknown {what} {s!r}")
-        return s
-
-    return parse
-
-
 def _finite(s):
     v = float(s)
     if not math.isfinite(v):
@@ -135,11 +122,7 @@ _SOLVE_KEYS = {
     "m": ("8", int),
     "epsilon": ("1.0", _finite_positive),
     "angle": ("0.0", _finite),
-    "n": ("64", int),
-    "distribution": ("equispaced", _one_of(GRID_DISTRIBUTIONS, "distribution")),
     "coarsening": ("smoothed_aggregation", str),
-    "strength_theta": ("0.01", float),
-    "matching_sweeps": ("3", int),
     "smoother": ("opt_cheb1", str),
     "degree": ("4", int),
     "variant": ("pcg", str),
@@ -197,10 +180,6 @@ def build_problem(values):
         return poisson3d(values["m"])
     if kind == "aniso2d":
         return aniso2d_q1(values["m"], values["epsilon"], values["angle"])
-    if kind == "spectral":
-        if values["n"] > MAX_DENSE_N:
-            raise ValueError(f"spectral n must be <= {MAX_DENSE_N}, got {values['n']}")
-        return spectral_synthetic(values["n"], values["distribution"])
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
@@ -208,33 +187,24 @@ def run_solve(cfg):
     v = parse_values(cfg)
     try:
         smoother = PolySmootherConfig(family=v["smoother"], degree=v["degree"])
-        coarsening = CoarseningConfig(
-            kind=v["coarsening"],
-            strength_theta=v["strength_theta"],
-            matching_sweeps=v["matching_sweeps"],
-        )
         kcfg = KrylovConfig(variant=v["variant"], tol=v["tol"], itmax=v["itmax"])
         A, b = build_problem(v)
-        if v["problem"] == "spectral":
-            # dense synthetic operator: precondition with the smoother alone
-            precond = as_preconditioner(smoother, A, l1_jacobi_diag(A))
-            hierarchy = None
-        else:
-            hierarchy = build_hierarchy(
-                A,
-                coarsening=coarsening,
-                smoother=smoother,
-                max_levels=v["max_levels"],
-                min_coarse_size=v["min_coarse_size"],
-                coarse_sweeps=v["coarse_sweeps"],
-            )
-            precond = as_vcycle_preconditioner(hierarchy)
+        hierarchy = build_hierarchy(
+            A,
+            coarsening=v["coarsening"],
+            smoother=smoother,
+            max_levels=v["max_levels"],
+            min_coarse_size=v["min_coarse_size"],
+            coarse_sweeps=v["coarse_sweeps"],
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _, rep = solve(A, b, precond=precond, cfg=kcfg)
-    report = {"config": cfg, "solve": dataclasses.asdict(rep)}
-    if hierarchy is not None:
-        report["hierarchy"] = hierarchy.summary()
+    _, rep = solve(A, b, precond=as_vcycle_preconditioner(hierarchy), cfg=kcfg)
+    report = {
+        "config": cfg,
+        "solve": dataclasses.asdict(rep),
+        "hierarchy": hierarchy.summary(),
+    }
     return report, rep
 
 
@@ -254,6 +224,8 @@ def cmd_solve(args):
 
 # -- spectrum-grid -----------------------------------------------------------
 
+GRID_DISTRIBUTIONS = ("equispaced", "boundary", "gapped")
+
 
 def cmd_spectrum_grid(args):
     try:
@@ -266,6 +238,8 @@ def cmd_spectrum_grid(args):
         raise ConfigError(f"sizes must be even, >= 2 and <= {MAX_DENSE_N}")
     if any(k < 1 for k in degrees):
         raise ConfigError("degrees must be >= 1")
+    if len(set(sizes)) < len(sizes) or len(set(degrees)) < len(degrees):
+        raise ConfigError("sizes and degrees must not repeat")
     header = [
         "distribution", "n", "k",
         "iters_cheb1", "converged_cheb1", "iters_cheb4", "converged_cheb4", "diff",

@@ -15,6 +15,10 @@ import numpy as np
 
 from .sparse import CsrMatrix
 
+# Largest dense n x n array the library assembles: the synthetic spectral
+# operator of ``spectral_synthetic``.
+MAX_DENSE_N = 1024
+
 
 def _index_dtype(max_nnz):
     """The index dtype scipy would pick for a matrix of up to ``max_nnz`` entries."""
@@ -186,10 +190,13 @@ def spectral_synthetic(n, distribution):
 
     Distributions: 'equispaced' (eigenvalues j/N), 'boundary' (accumulating
     at 0 and 1), 'gapped' (two log-spaced clusters separated by a gap).
-    ``n`` must be even and at least 2.
+    ``n`` must be even, at least 2 and at most ``MAX_DENSE_N``; it is checked
+    before anything is assembled.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
+    if n > MAX_DENSE_N:
+        raise ValueError(f"n must be <= {MAX_DENSE_N}, got {n}")
     if distribution == "equispaced":
         d = np.arange(1, n + 1) / n
     elif distribution == "boundary":

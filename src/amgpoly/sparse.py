@@ -18,10 +18,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-# Largest dense n x n array the library assembles: the synthetic spectral
-# operator (``solve problem=spectral`` and the spectrum-grid sizes).
-MAX_DENSE_N = 1024
-
 # Global SpMV counter; callers count a span of work as the difference of two
 # ``spmv_count()`` readings (one degree-k polynomial application and k basic
 # sweeps must report the same count).

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from amgpoly.amg import (
-    CoarseningConfig,
     as_vcycle_preconditioner,
     build_hierarchy,
     two_level_constants,
@@ -218,8 +217,8 @@ ORDERING_CONFIGS = [
 
 
 def test_09_iteration_count_ordering():
-    match = CoarseningConfig(kind="pairwise_matching")
-    sa = CoarseningConfig(kind="smoothed_aggregation")
+    match = "pairwise_matching"
+    sa = "smoothed_aggregation"
     runs = [
         ("poisson3d m=12", *poisson3d(12), match),
         ("poisson3d m=16", *poisson3d(16), match),
@@ -245,7 +244,7 @@ def test_10_scalability_proxy():
         A, b = poisson3d(m)
         h = build_hierarchy(
             A,
-            coarsening=CoarseningConfig(kind="pairwise_matching"),
+            coarsening="pairwise_matching",
             smoother=PolySmootherConfig(family="opt_cheb1", degree=4),
         )
         _, rep = solve(

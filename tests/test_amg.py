@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from amgpoly import amg
 from amgpoly.amg import (
     POWER_STEPS,
-    CoarseningConfig,
     as_vcycle_preconditioner,
     build_hierarchy,
     estimate_lambda_max,
@@ -218,9 +217,7 @@ class TestBuildHierarchy:
 
     def test_poisson3d_matching_depth(self):
         A, _ = poisson3d(8)
-        h = build_hierarchy(
-            A, coarsening=CoarseningConfig(kind="pairwise_matching"), min_coarse_size=200
-        )
+        h = build_hierarchy(A, coarsening="pairwise_matching", min_coarse_size=200)
         assert 2 <= len(h.levels) <= 4
 
     def test_galerkin_consistency(self):
@@ -242,7 +239,7 @@ class TestBuildHierarchy:
     def test_operator_complexity_bounded(self):
         for kind in ("smoothed_aggregation", "pairwise_matching"):
             A, _ = poisson3d(8)
-            h = build_hierarchy(A, coarsening=CoarseningConfig(kind=kind))
+            h = build_hierarchy(A, coarsening=kind)
             assert h.operator_complexity() <= 3.0
 
     @pytest.mark.parametrize(
@@ -270,14 +267,13 @@ class TestBuildHierarchy:
     def test_prolongator_is_smoothed_tentative(self, kind):
         # every level's P is one damped Jacobi step on its tentative prolongator
         A, _ = poisson3d(12)
-        coarsening = CoarseningConfig(kind=kind)
-        h = build_hierarchy(A, coarsening=coarsening)
+        h = build_hierarchy(A, coarsening=kind)
         assert len(h.levels) >= 2
         for level in h.levels[:-1]:
             if kind == "smoothed_aggregation":
-                P_hat = sa_aggregate(level.A, coarsening.strength_theta)
+                P_hat = sa_aggregate(level.A)
             else:
-                P_hat = matching_aggregate(level.A, coarsening.matching_sweeps)
+                P_hat = matching_aggregate(level.A)
             omega = 4.0 / (3.0 * estimate_lambda_max(level.A))
             want = smooth_prolongator(level.A, P_hat, omega)
             assert np.array_equal(level.P.to_dense(), want.to_dense())
@@ -288,6 +284,13 @@ class TestBuildHierarchy:
         h = build_hierarchy(A, min_coarse_size=10)
         with pytest.raises(dataclasses.FrozenInstanceError):
             h.stagnated = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.levels[0].P = None
+        assert h.levels[0].P is not None
+
+    def test_unknown_coarsening_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown coarsening kind 'bogus'"):
+            build_hierarchy(poisson3d(4)[0], coarsening="bogus")
 
     def test_summary_json_roundtrip(self):
         A, _ = poisson3d(4)
@@ -362,7 +365,7 @@ class TestVcycle:
     def test_preconditioner_spd_property(self, A, family, k, kind):
         h = build_hierarchy(
             A,
-            coarsening=CoarseningConfig(kind=kind),
+            coarsening=kind,
             smoother=PolySmootherConfig(family=family, degree=k),
             min_coarse_size=2,
             coarse_sweeps=3,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from amgpoly import cli
-from amgpoly.amg import CoarseningConfig, build_hierarchy
+from amgpoly.amg import build_hierarchy
 from amgpoly.cli import (
     EXIT_BREAKDOWN,
     EXIT_CONFIG,
@@ -23,9 +23,9 @@ from amgpoly.cli import (
     run_solve,
 )
 from amgpoly.krylov import KrylovConfig
-from amgpoly.problems import spectral_synthetic
+from amgpoly.problems import MAX_DENSE_N, spectral_synthetic
 from amgpoly.smoothers import PolySmootherConfig
-from amgpoly.sparse import MAX_DENSE_N, CsrMatrix
+from amgpoly.sparse import CsrMatrix
 
 from conftest import tridiag
 
@@ -72,16 +72,13 @@ class TestConfigParsing:
             for name, param in inspect.signature(build_hierarchy).parameters.items()
         }
         field = lambda cls: {f.name: f.default for f in dataclasses.fields(cls)}
-        coarsening = field(CoarseningConfig)
         krylov = field(KrylovConfig)
         smoother = field(PolySmootherConfig)
         library = {
             "max_levels": hierarchy["max_levels"],
             "min_coarse_size": hierarchy["min_coarse_size"],
             "coarse_sweeps": hierarchy["coarse_sweeps"],
-            "coarsening": coarsening["kind"],
-            "strength_theta": coarsening["strength_theta"],
-            "matching_sweeps": coarsening["matching_sweeps"],
+            "coarsening": hierarchy["coarsening"],
             "variant": krylov["variant"],
             "tol": krylov["tol"],
             "itmax": krylov["itmax"],
@@ -93,17 +90,20 @@ class TestConfigParsing:
     def test_build_problem_dispatch(self):
         A, b = build_problem(parse_values(parse_config(None, ["problem=poisson3d", "m=3"])))
         assert A.nrows == 27
-        A, b = build_problem(parse_values(parse_config(None, ["problem=spectral", "n=8"])))
-        assert A.nrows == 8
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "bogus=1", "coarse_solver=l1_jacobi", "prolongator_smoothing=true",
+        "strength_theta=0.01", "matching_sweeps=3", "n=64", "distribution=equispaced",
     ])
     def test_config_error_is_2(self, override, capsys):
         assert main(["solve", "--override", override]) == EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_spectral_problem_is_2(self, capsys):
+        assert main(["solve", "--override", "problem=spectral"]) == EXIT_CONFIG
+        assert "unknown problem kind 'spectral'" in capsys.readouterr().err
 
     def test_opt_cheb4_without_table_is_2(self, capsys):
         args = ["solve", "--override", "smoother=opt_cheb4", "--override", "degree=14"]
@@ -123,21 +123,6 @@ class TestExitCodes:
             run_solve(parse_config(None, []))
         assert main(["solve"]) == EXIT_CONFIG
         assert "must be symmetric" in capsys.readouterr().err
-
-    def test_oversize_spectral_is_2(self, monkeypatch, capsys):
-        def no_build(n, distribution):
-            raise AssertionError("the dense operator must not be built")
-
-        monkeypatch.setattr(cli, "spectral_synthetic", no_build)
-        args = ["solve", "--override", "problem=spectral", "--override", "n=1026"]
-        assert main(args) == EXIT_CONFIG
-        assert "n must be <= 1024" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("n", [0, -2])
-    def test_spectral_n_below_two_is_2(self, n, capsys):
-        args = ["solve", "--override", "problem=spectral", "--override", f"n={n}"]
-        assert main(args) == EXIT_CONFIG
-        assert ">= 2" in capsys.readouterr().err
 
     def test_oversize_single_level_is_not_densified(self, monkeypatch, tmp_path, capsys):
         # the l1-Jacobi coarse solve has no size cap: 1728 rows > MAX_DENSE_N
@@ -164,14 +149,14 @@ class TestExitCodes:
         assert "max_levels must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
-        ["problem=spectral", "max_levels=abc"],
-        ["problem=spectral", "m=abc"],
-        ["problem=spectral", "angle=abc"],
-        ["problem=spectral", "coarse_sweeps=abc"],
-        ["problem=poisson3d", "m=4", "n=abc"],
         ["problem=poisson3d", "m=4", "epsilon=abc"],
-        ["problem=aniso2d", "m=4", "n=abc"],
-        ["problem=poisson3d", "m=4", "distribution=bogus"],
+        ["problem=poisson3d", "m=4", "epsilon=0"],
+        ["problem=poisson3d", "m=4", "angle=abc"],
+        ["problem=poisson3d", "m=4", "angle=nan"],
+        ["problem=aniso2d", "m=4", "max_levels=abc"],
+        ["problem=aniso2d", "m=4", "min_coarse_size=abc"],
+        ["problem=aniso2d", "m=4", "coarse_sweeps=abc"],
+        ["problem=aniso2d", "m=4", "degree=abc"],
     ], ids=" ".join)
     def test_malformed_key_the_problem_does_not_read_is_2(self, overrides, capsys):
         args = ["solve"] + [arg for o in overrides for arg in ("--override", o)]
@@ -334,19 +319,6 @@ class TestSolveCommand:
             iters[fam] = json.loads(out.read_text())["solve"]["iterations"]
         assert iters["opt_cheb1"] <= iters["l1_jacobi"]
 
-    def test_spectral_problem_smoother_only(self, tmp_path, capsys):
-        out = tmp_path / "s.json"
-        assert main([
-            "solve",
-            "--override", "problem=spectral",
-            "--override", "n=32",
-            "--override", "tol=1e-5",
-            "-o", str(out),
-        ]) == EXIT_OK
-        report = json.loads(out.read_text())
-        assert report["solve"]["converged"] is True
-        assert "hierarchy" not in report
-
 
 # The AMG-PCG solves of scripts/run_experiments.py, read from the script's own
 # tables, with their exact iteration counts; a kernel change that costs an
@@ -419,6 +391,9 @@ class TestSpectrumGridCommand:
         ["--sizes", "16", "--degrees", "1", "--tol", "0"],
         ["--sizes", "16", "--degrees", "1", "--tol", "nan"],
         ["--sizes", "16", "--degrees", "1", "--tol", "inf"],
+        ["--sizes", "16,16", "--degrees", "1"],
+        ["--sizes", "4,4", "--degrees", "1"],
+        ["--sizes", "16", "--degrees", "2,1,2"],
     ])
     def test_bad_values_are_config_errors(self, extra, capsys):
         assert main(["spectrum-grid"] + extra) == EXIT_CONFIG

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amgpoly.amg import CoarseningConfig, as_vcycle_preconditioner, build_hierarchy
+from amgpoly.amg import as_vcycle_preconditioner, build_hierarchy
 from amgpoly.krylov import KrylovConfig, solve
 from amgpoly.problems import poisson3d
 from amgpoly.smoothers import PolySmootherConfig
@@ -99,7 +99,7 @@ class TestFcgAgreement:
         A, b = poisson3d(8)
         h = build_hierarchy(
             A,
-            coarsening=CoarseningConfig(kind="pairwise_matching"),
+            coarsening="pairwise_matching",
             smoother=PolySmootherConfig(family="opt_cheb1", degree=4),
         )
         counts = {}

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from amgpoly.problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
+from amgpoly import problems
+from amgpoly.problems import (
+    MAX_DENSE_N,
+    SpectralOperator,
+    aniso2d_q1,
+    poisson3d,
+    spectral_synthetic,
+)
 
 from conftest import nbytes, traced_peak
 
@@ -159,6 +166,15 @@ class TestSpectral:
     def test_rejects_n_below_two(self, n):
         with pytest.raises(ValueError, match=">= 2"):
             spectral_synthetic(n, "equispaced")
+
+    def test_rejects_oversize_n_before_assembly(self, monkeypatch):
+        def no_build(eigenvalues):
+            raise AssertionError("the dense operator must not be built")
+
+        monkeypatch.setattr(problems, "SpectralOperator", no_build)
+        assert MAX_DENSE_N == 1024
+        with pytest.raises(ValueError, match="n must be <= 1024, got 1026"):
+            spectral_synthetic(1026, "equispaced")
 
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ValueError):

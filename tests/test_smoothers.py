@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amgpoly.chebyshev import fourth_kind_basis, scaled_cheb_eval
-from amgpoly.amg import CoarseningConfig, build_hierarchy
+from amgpoly.amg import build_hierarchy
 from amgpoly.problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
 from amgpoly.smoothers import (
     FAMILIES,
@@ -61,7 +61,7 @@ class TestL1Diag:
             A, kind = aniso2d_q1(64, 100.0, math.pi / 6)[0], "smoothed_aggregation"
         else:
             A, kind = poisson3d(16)[0], "pairwise_matching"
-        h = build_hierarchy(A, CoarseningConfig(kind=kind), min_coarse_size=20)
+        h = build_hierarchy(A, kind, min_coarse_size=20)
         assert len(h.levels) >= 3
         for level in h.levels:
             S = level.A.to_scipy()
