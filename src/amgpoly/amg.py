@@ -64,16 +64,19 @@ class AmgHierarchy:
         return sum(l.A.nnz for l in self.levels) / self.levels[0].A.nnz
 
     def summary(self):
+        """The shape of each level and the smoother it runs: the coarsest
+        level reports ``coarse_smoother``, every other level ``smoother``."""
+        smoothers = [self.smoother] * (len(self.levels) - 1) + [self.coarse_smoother]
         return {
             "levels": [
                 {
                     "size": l.A.nrows,
                     "nnz": l.A.nnz,
                     "aggregates": l.P.ncols if l.P is not None else 0,
-                    "smoother": self.smoother.family,
-                    "degree": self.smoother.degree,
+                    "smoother": s.family,
+                    "degree": s.degree,
                 }
-                for l in self.levels
+                for l, s in zip(self.levels, smoothers)
             ],
             "operator_complexity": self.operator_complexity(),
             "stagnated": self.stagnated,

@@ -25,7 +25,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .amg import as_vcycle_preconditioner, build_hierarchy
+from .amg import COARSENINGS, as_vcycle_preconditioner, build_hierarchy
 from .krylov import KrylovConfig, solve
 from .optimize import params_csv_rows
 from .problems import MAX_DENSE_N, aniso2d_q1, poisson3d, spectral_synthetic
@@ -128,9 +128,6 @@ _SOLVE_KEYS = {
     "variant": ("pcg", str),
     "tol": ("1e-7", float),
     "itmax": ("1000", int),
-    "coarse_sweeps": ("30", int),
-    "min_coarse_size": ("200", int),
-    "max_levels": ("10", int),
 }
 
 
@@ -185,18 +182,13 @@ def build_problem(values):
 
 def run_solve(cfg):
     v = parse_values(cfg)
+    if v["coarsening"] not in COARSENINGS:
+        raise ConfigError(f"unknown coarsening kind {v['coarsening']!r}")
     try:
         smoother = PolySmootherConfig(family=v["smoother"], degree=v["degree"])
         kcfg = KrylovConfig(variant=v["variant"], tol=v["tol"], itmax=v["itmax"])
         A, b = build_problem(v)
-        hierarchy = build_hierarchy(
-            A,
-            coarsening=v["coarsening"],
-            smoother=smoother,
-            max_levels=v["max_levels"],
-            min_coarse_size=v["min_coarse_size"],
-            coarse_sweeps=v["coarse_sweeps"],
-        )
+        hierarchy = build_hierarchy(A, coarsening=v["coarsening"], smoother=smoother)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _, rep = solve(A, b, precond=as_vcycle_preconditioner(hierarchy), cfg=kcfg)

@@ -22,7 +22,7 @@ from amgpoly.amg import (
     vcycle_apply,
 )
 from amgpoly.krylov import solve
-from amgpoly.problems import aniso2d_q1, poisson3d
+from amgpoly.problems import MAX_DENSE_N, aniso2d_q1, poisson3d
 from amgpoly.smoothers import (
     FAMILIES,
     PolySmootherConfig,
@@ -291,6 +291,28 @@ class TestBuildHierarchy:
     def test_unknown_coarsening_is_rejected(self):
         with pytest.raises(ValueError, match="unknown coarsening kind 'bogus'"):
             build_hierarchy(poisson3d(4)[0], coarsening="bogus")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_levels": 0}, "max_levels must be >= 1"),
+        ({"max_levels": -1}, "max_levels must be >= 1"),
+        ({"coarse_sweeps": 0}, "coarse_sweeps must be >= 1"),
+    ], ids=["max_levels=0", "max_levels=-1", "coarse_sweeps=0"])
+    def test_rejects_counts_below_one(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            build_hierarchy(poisson3d(4)[0], **kwargs)
+
+    def test_oversize_single_level_is_not_densified(self, monkeypatch):
+        # the l1-Jacobi coarse solve has no size cap: 1728 rows > MAX_DENSE_N
+        def no_densify(A):
+            raise AssertionError("the coarsest level must not be densified")
+
+        monkeypatch.setattr(CsrMatrix, "to_dense", no_densify)
+        A, b = poisson3d(12)
+        h = build_hierarchy(A, max_levels=1)
+        _, rep = solve(A, b, precond=as_vcycle_preconditioner(h))
+        assert [l.A.nrows for l in h.levels] == [1728]
+        assert 1728 > MAX_DENSE_N
+        assert rep.converged
 
     def test_summary_json_roundtrip(self):
         A, _ = poisson3d(4)

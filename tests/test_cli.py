@@ -23,9 +23,8 @@ from amgpoly.cli import (
     run_solve,
 )
 from amgpoly.krylov import KrylovConfig
-from amgpoly.problems import MAX_DENSE_N, spectral_synthetic
+from amgpoly.problems import spectral_synthetic
 from amgpoly.smoothers import PolySmootherConfig
-from amgpoly.sparse import CsrMatrix
 
 from conftest import tridiag
 
@@ -67,25 +66,21 @@ class TestConfigParsing:
 
     def test_defaults_agree_with_the_library(self):
         values = parse_values(parse_config(None, []))
-        hierarchy = {
-            name: param.default
-            for name, param in inspect.signature(build_hierarchy).parameters.items()
-        }
+        hierarchy = inspect.signature(build_hierarchy).parameters
         field = lambda cls: {f.name: f.default for f in dataclasses.fields(cls)}
         krylov = field(KrylovConfig)
         smoother = field(PolySmootherConfig)
+        # the problem keys have no library default: the CLI's are its own
+        cli_only = {"problem": "poisson3d", "m": 8, "epsilon": 1.0, "angle": 0.0}
         library = {
-            "max_levels": hierarchy["max_levels"],
-            "min_coarse_size": hierarchy["min_coarse_size"],
-            "coarse_sweeps": hierarchy["coarse_sweeps"],
-            "coarsening": hierarchy["coarsening"],
+            "coarsening": hierarchy["coarsening"].default,
             "variant": krylov["variant"],
             "tol": krylov["tol"],
             "itmax": krylov["itmax"],
             "smoother": smoother["family"],
             "degree": smoother["degree"],
         }
-        assert {key: values[key] for key in library} == library
+        assert values == library | cli_only
 
     def test_build_problem_dispatch(self):
         A, b = build_problem(parse_values(parse_config(None, ["problem=poisson3d", "m=3"])))
@@ -96,6 +91,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "bogus=1", "coarse_solver=l1_jacobi", "prolongator_smoothing=true",
         "strength_theta=0.01", "matching_sweeps=3", "n=64", "distribution=equispaced",
+        "coarse_sweeps=30", "min_coarse_size=200", "max_levels=10",
     ])
     def test_config_error_is_2(self, override, capsys):
         assert main(["solve", "--override", override]) == EXIT_CONFIG
@@ -124,38 +120,19 @@ class TestExitCodes:
         assert main(["solve"]) == EXIT_CONFIG
         assert "must be symmetric" in capsys.readouterr().err
 
-    def test_oversize_single_level_is_not_densified(self, monkeypatch, tmp_path, capsys):
-        # the l1-Jacobi coarse solve has no size cap: 1728 rows > MAX_DENSE_N
-        def no_densify(A):
-            raise AssertionError("the coarsest level must not be densified")
+    def test_unknown_coarsening_is_2_before_assembly(self, monkeypatch, capsys):
+        def no_assembly(m):
+            raise AssertionError("the problem must not be assembled")
 
-        monkeypatch.setattr(CsrMatrix, "to_dense", no_densify)
-        out = tmp_path / "r.json"
-        args = ["solve", "--override", "m=12", "--override", "max_levels=1", "-o", str(out)]
-        assert main(args) == EXIT_OK
-        report = json.loads(out.read_text())
-        assert [lv["size"] for lv in report["hierarchy"]["levels"]] == [1728]
-        assert 1728 > MAX_DENSE_N
-
-    def test_zero_coarse_sweeps_is_2(self, capsys):
-        args = ["solve", "--override", "m=6", "--override", "coarse_sweeps=0"]
-        assert main(args) == EXIT_CONFIG
-        assert "coarse_sweeps must be >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("max_levels", [0, -1])
-    def test_max_levels_below_one_is_2(self, max_levels, capsys):
-        args = ["solve", "--override", "m=6", "--override", f"max_levels={max_levels}"]
-        assert main(args) == EXIT_CONFIG
-        assert "max_levels must be >= 1" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "poisson3d", no_assembly)
+        assert main(["solve", "--override", "coarsening=bogus"]) == EXIT_CONFIG
+        assert "unknown coarsening kind 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         ["problem=poisson3d", "m=4", "epsilon=abc"],
         ["problem=poisson3d", "m=4", "epsilon=0"],
         ["problem=poisson3d", "m=4", "angle=abc"],
         ["problem=poisson3d", "m=4", "angle=nan"],
-        ["problem=aniso2d", "m=4", "max_levels=abc"],
-        ["problem=aniso2d", "m=4", "min_coarse_size=abc"],
-        ["problem=aniso2d", "m=4", "coarse_sweeps=abc"],
         ["problem=aniso2d", "m=4", "degree=abc"],
     ], ids=" ".join)
     def test_malformed_key_the_problem_does_not_read_is_2(self, overrides, capsys):
@@ -294,7 +271,10 @@ class TestSolveCommand:
         assert "prolongator_smoothing" not in report["config"]
         assert "coarse_solver" not in report["config"]
         assert "coarse_solver" not in report["hierarchy"]
-        assert report["config"]["coarse_sweeps"] == "30"
+        levels = report["hierarchy"]["levels"]
+        assert len(levels) >= 2
+        ran = [(lv["smoother"], lv["degree"]) for lv in levels]
+        assert ran == [("opt_cheb1", 4)] * (len(levels) - 1) + [("l1_jacobi", 30)]
         assert report["solve"]["converged"] is True
 
     def test_itmax_one_not_converged(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -144,8 +145,13 @@ class TestGalerkinSymmetry:
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # no amgpoly code uses it: the dense algebra is numpy.linalg
-    assert not loaded_by_import_amgpoly("scipy.linalg")
+    # no amgpoly code uses it: the dense algebra is numpy.linalg.  The
+    # package root imports nothing, so import every submodule.
+    names = sorted(m.name for m in pkgutil.iter_modules(amgpoly.__path__))
+    assert names == ["amg", "chebyshev", "cli", "krylov", "optimize", "problems",
+                     "smoothers", "sparse"]
+    run = "import " + ", ".join(f"amgpoly.{name}" for name in names)
+    assert not loaded_by_import_amgpoly("scipy.linalg", run)
 
 
 @pytest.mark.parametrize("argv", [
