@@ -53,7 +53,8 @@ class Level:
 @dataclass(frozen=True)
 class AmgHierarchy:
     """Levels fine to coarse, the one smoother of every level below the
-    coarsest and the ``l1_jacobi`` sweeps that solve the coarsest."""
+    coarsest and the ``l1_jacobi`` sweeps that solve the coarsest.
+    ``stagnated``: coarsening stopped on a stall (``build_hierarchy``)."""
 
     levels: tuple
     smoother: PolySmootherConfig
@@ -235,10 +236,7 @@ def estimate_lambda_max(A):
     v = np.ones(A.nrows) + np.random.default_rng(0).uniform(-0.5, 0.5, A.nrows)
     for _ in range(POWER_STEPS - 1):
         w = spmv(A, v / ds) / ds
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
+        v = w / np.linalg.norm(w)
     w = spmv(A, v / ds) / ds
     return float(v @ w) / float(v @ v)
 
@@ -281,8 +279,9 @@ def build_hierarchy(
 
     ``coarsening`` is one of ``COARSENINGS``: ``sa_aggregate`` or
     ``matching_aggregate`` at their default strength threshold and sweep
-    count.  Stops early (with ``stagnated`` set) if two successive
-    coarsenings fail to shrink the problem below 95% of the fine size.
+    count.  Stops early, with ``stagnated`` set, when a coarsening does not
+    shrink the problem at all (it is dropped) or when two successive ones
+    each keep at least 95% of their fine size (both are kept).
     Raises ``ValueError`` for an unknown ``coarsening`` and unless ``A`` is
     square and symmetric with a positive diagonal and ``max_levels`` and
     ``coarse_sweeps`` are at least 1.  Only the fine level is checked: the
@@ -320,6 +319,7 @@ def build_hierarchy(
         else:
             stagnated = 0
         if P.ncols >= Al.nrows:
+            stagnated = 2  # no progress at all: drop this coarsening and stop
             break
         R = P.transpose()
         levels.append(Level(A=Al, M=Ml, P=P, R=R))
@@ -363,12 +363,12 @@ def as_vcycle_preconditioner(h):
 # -- dense two-level oracle -------------------------------------------------
 
 
-def two_level_constants(A, P, M, smoother):
+def two_level_constants(A, P, smoother):
     """Dense evaluation of the two-level bound quantities.
 
     Returns (C, gamma, bound, actual_E_norm_sq):
-      C      largest generalized eigenvalue of (T A T, B) with
-             T = A^-1 - P Ac^-1 P^T and B the l1-Jacobi diagonal,
+      C      largest generalized eigenvalue of (T A T, M^-1) with
+             T = A^-1 - P Ac^-1 P^T and M the l1-Jacobi diagonal of A,
       gamma  the smoother's ``smoothing_constant``,
       bound  C/(C + 1/gamma), reducing to C/(C + 2k) for k plain sweeps,
       actual the A-norm squared of E = G^T (I - P Ac^-1 P^T A) G.
@@ -377,41 +377,32 @@ def two_level_constants(A, P, M, smoother):
     """
     if not A.is_symmetric():
         raise ValueError("A must be symmetric")
-    n = A.nrows
     Ad = A.to_dense()
+    if np.any(np.linalg.eigvalsh(Ad) <= 0.0):
+        raise ValueError("A must be positive definite")
+    M = l1_jacobi_diag(A)
+    n = A.nrows
     Pd = P.to_dense()
     Ac = Pd.T @ Ad @ Pd
-    Ainv = np.linalg.inv(Ad)
-    T = Ainv - Pd @ np.linalg.inv(Ac) @ Pd.T
+    T = np.linalg.inv(Ad) - Pd @ np.linalg.inv(Ac) @ Pd.T
     # C = sup ||T u||_A^2 over ||u|| <= 1 in the inverse-M norm, i.e. the
-    # largest eigenvalue of M^1/2 (T A T) M^1/2 with M the l1-Jacobi diagonal.
-    # This weighting is the one under which the smoothing constant gamma of
-    # M^-1 A closes the C/(C + 1/gamma) argument.
+    # largest eigenvalue of M^1/2 (T A T) M^1/2 = M^1/2 T M^1/2, since
+    # T A T = T.  This weighting is the one under which the smoothing
+    # constant gamma of M^-1 A closes the C/(C + 1/gamma) argument.
     bs = np.sqrt(M)
-    S = (T @ Ad @ T) * np.outer(bs, bs)
+    S = T * np.outer(bs, bs)
     S = (S + S.T) * 0.5
-    C = float(np.max(np.linalg.eigh(S)[0]))
+    C = float(np.max(np.linalg.eigvalsh(S)))
 
     gamma = smoothing_constant(smoother)
     bound = C / (C + 1.0 / gamma)
 
     # E = G^T (I - P Ac^-1 P^T A) G, columns via the runtime smoother kernel
-    G = np.empty((n, n))
-    zero = np.zeros(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        G[:, j] = smoother_apply(smoother, A, M, zero, e)
-    corr = np.eye(n) - Pd @ np.linalg.solve(Ac, Pd.T @ Ad)
-    # G is A-self-adjoint, so its transpose in the A inner product is itself;
-    # assemble E = G * corr * G directly.
+    eye = np.eye(n)
+    G = np.column_stack([smoother_apply(smoother, A, M, np.zeros(n), e) for e in eye])
+    corr = eye - Pd @ np.linalg.solve(Ac, Pd.T @ Ad)
+    # G and corr are A-self-adjoint, so E = G corr G is too: its transpose
+    # in the A inner product is itself, and its A-norm is its spectral radius.
     E = G @ corr @ G
-    w, V = np.linalg.eigh(Ad)
-    if np.any(w <= 0.0):
-        raise ValueError("A must be positive definite")
-    Ah = V @ np.diag(np.sqrt(w)) @ V.T
-    Ahi = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    Sym = Ah @ E @ Ahi
-    Sym = (Sym + Sym.T) * 0.5
-    actual = float(np.max(np.abs(np.linalg.eigh(Sym)[0])) ** 2)
+    actual = float(np.max(np.abs(np.linalg.eigvals(E))) ** 2)
     return C, gamma, bound, actual

@@ -324,12 +324,15 @@ def optimize_beta(k):
 
 @functools.cache
 def load_beta_tables():
-    """Precomputed BetaTable records keyed by degree."""
+    """Precomputed BetaTable records keyed by degree k, each k betas long."""
     text = resources.files("amgpoly.data").joinpath("beta_tables.csv").read_text()
     table = {}
     for row in csv.DictReader(io.StringIO(text)):
+        k = int(row["k"])
         beta = np.array([float(v) for v in row["beta"].split()])
-        table[int(row["k"])] = BetaTable(beta=beta, gamma_value=float(row["gamma_value"]))
+        if len(beta) != k:
+            raise ValueError(f"beta table length must equal the degree, {k}")
+        table[k] = BetaTable(beta=beta, gamma_value=float(row["gamma_value"]))
     return table
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .chebyshev import fourth_kind_basis, scaled_cheb_eval
-from .optimize import BetaTable, gamma_cheb4, lambda_of, load_beta_tables, solve_a_star
+from .optimize import gamma_cheb4, lambda_of, load_beta_tables, solve_a_star
 from .sparse import CsrMatrix
 
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
@@ -70,16 +70,15 @@ def l1_jacobi_diag(A):
 
 @dataclass(frozen=True)
 class PolySmootherConfig:
-    """Family, degree, and the per-family parameters, which the degree fixes.
+    """Family and degree, which fix every per-family parameter.
 
-    Frozen, so that ``steps``, the table ``smoother_apply`` runs, is built
-    once here and always matches the other fields.
+    opt_cheb1 reads a*_k from ``solve_a_star`` and opt_cheb4 its table from
+    ``load_beta_tables``, both cached.  Frozen, so that ``steps``, the table
+    ``smoother_apply`` runs, is built once here and matches the other fields.
     """
 
     family: str = "opt_cheb1"
     degree: int = 4
-    a: float | None = field(default=None, init=False)  # opt_cheb1 endpoint a*_k
-    beta: BetaTable | None = field(default=None, init=False)  # opt_cheb4 shipped table
     steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,15 +86,8 @@ class PolySmootherConfig:
             raise ValueError(f"unknown smoother family {self.family!r}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.family == "opt_cheb1":
-            object.__setattr__(self, "a", solve_a_star(self.degree))
-        if self.family == "opt_cheb4":
-            beta = load_beta_tables().get(self.degree)
-            if beta is None:
-                raise ValueError(f"no opt_cheb4 beta table for degree {self.degree}")
-            if len(beta.beta) != self.degree:
-                raise ValueError("beta table length must equal the degree")
-            object.__setattr__(self, "beta", beta)
+        if self.family == "opt_cheb4" and self.degree not in load_beta_tables():
+            raise ValueError(f"no opt_cheb4 beta table for degree {self.degree}")
         object.__setattr__(self, "steps", step_coefficients(self))
 
 
@@ -105,12 +97,13 @@ def step_coefficients(config):
     if config.family == "l1_jacobi":
         return ((0.0, 1.0, 1.0),) * k
     if config.family in ("cheb4", "opt_cheb4"):
-        betas = config.beta.beta if config.family == "opt_cheb4" else np.ones(k)
+        betas = load_beta_tables()[k].beta if config.family == "opt_cheb4" else np.ones(k)
         return tuple(
             ((2 * j - 3) / (2 * j + 1), (8 * j - 4) / (2 * j + 1), betas[j - 1])
             for j in range(1, k + 1)
         )
-    theta, delta = (1.0 + config.a) / 2.0, (1.0 - config.a) / 2.0
+    a = solve_a_star(k)
+    theta, delta = (1.0 + a) / 2.0, (1.0 - a) / 2.0
     sigma1 = theta / delta
     steps = [(0.0, 1.0 / theta, 1.0)]
     rho_prev = 1.0 / sigma1
@@ -174,8 +167,8 @@ def smoothing_constant(config):
     if config.family == "cheb4":
         return gamma_cheb4(k)
     if config.family == "opt_cheb4":
-        return config.beta.gamma_value
-    return lambda_of(k, config.a)
+        return load_beta_tables()[k].gamma_value
+    return lambda_of(k, solve_a_star(k))
 
 
 def error_polynomial(config, t):
@@ -188,11 +181,11 @@ def error_polynomial(config, t):
     if config.family == "l1_jacobi":
         return (1.0 - t) ** k
     if config.family == "opt_cheb1":
-        return scaled_cheb_eval(config.a, k, t)
+        return scaled_cheb_eval(solve_a_star(k), k, t)
     W = fourth_kind_basis(1.0 - 2.0 * t, k)
     if config.family == "cheb4":
         return W[k] / (2 * k + 1)
-    ext = np.concatenate(([1.0], config.beta.beta, [0.0]))
+    ext = np.concatenate(([1.0], load_beta_tables()[k].beta, [0.0]))
     return sum(float((ext[j] - ext[j + 1]) / (2 * j + 1)) * W[j] for j in range(k + 1))
 
 
@@ -213,11 +206,6 @@ def smoother_error_oracle(A, M, config, e0):
         out = A.matvec(out) / M
         out += c * e0
     return out
-
-
-def smoother_error_apply(config, A, M, e0):
-    """Error propagator action via the runtime kernel: G e0 with b = 0."""
-    return smoother_apply(config, A, M, np.zeros_like(e0), e0)
 
 
 def as_preconditioner(config, A, M):

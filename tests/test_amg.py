@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,6 @@ from amgpoly.problems import MAX_DENSE_N, aniso2d_q1, poisson3d
 from amgpoly.smoothers import (
     FAMILIES,
     PolySmootherConfig,
-    l1_jacobi_diag,
     smoother_apply,
     smoothing_constant,
 )
@@ -288,6 +288,21 @@ class TestBuildHierarchy:
             h.levels[0].P = None
         assert h.levels[0].P is not None
 
+    def test_coarsening_without_progress_stops_stagnated(self):
+        # every row is isolated: the first coarsening keeps all 300 rows
+        h = build_hierarchy(CsrMatrix.identity(300))
+        assert [l.A.nrows for l in h.levels] == [300]
+        assert h.stagnated
+
+    def test_two_coarsenings_above_95_percent_stop_stagnated(self):
+        # 5000 isolated rows outweigh the 1-D Laplacian that still coarsens
+        A = CsrMatrix.from_scipy(
+            scipy.sparse.block_diag([scipy.sparse.identity(5000), tridiag(400).to_scipy()])
+        )
+        h = build_hierarchy(A)
+        assert [l.A.nrows for l in h.levels] == [5400, 5133, 5044]
+        assert h.stagnated
+
     def test_unknown_coarsening_is_rejected(self):
         with pytest.raises(ValueError, match="unknown coarsening kind 'bogus'"):
             build_hierarchy(poisson3d(4)[0], coarsening="bogus")
@@ -474,14 +489,20 @@ class TestTwoLevelConstants:
         A = tridiag(8, lo=-1.0, up=-0.5)
         cfg = PolySmootherConfig(family="l1_jacobi", degree=1)
         with pytest.raises(ValueError, match="symmetric"):
-            two_level_constants(A, linear_interp_1d(8), l1_jacobi_diag(A), cfg)
+            two_level_constants(A, linear_interp_1d(8), cfg)
+
+    def test_rejects_indefinite(self):
+        # symmetric with a positive diagonal, eigenvalues 3 and -1
+        A = CsrMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
+        cfg = PolySmootherConfig(family="l1_jacobi", degree=1)
+        with pytest.raises(ValueError, match="positive definite"):
+            two_level_constants(A, CsrMatrix.from_dense([[1.0], [1.0]]), cfg)
 
     def test_square_invertible_prolongator(self):
         A = tridiag(8)
-        M = l1_jacobi_diag(A)
         P = CsrMatrix.identity(8)
         C, _, bound, actual = two_level_constants(
-            A, P, M, PolySmootherConfig(family="l1_jacobi", degree=1)
+            A, P, PolySmootherConfig(family="l1_jacobi", degree=1)
         )
         assert C == pytest.approx(0.0, abs=1e-10)
         assert bound == pytest.approx(0.0, abs=1e-10)
@@ -490,20 +511,18 @@ class TestTwoLevelConstants:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_plain_sweeps_bound_1d(self, k):
         A = tridiag(64)
-        M = l1_jacobi_diag(A)
         P = linear_interp_1d(64)
         cfg = PolySmootherConfig(family="l1_jacobi", degree=k)
-        C, gamma, bound, actual = two_level_constants(A, P, M, cfg)
+        C, gamma, bound, actual = two_level_constants(A, P, cfg)
         assert gamma == pytest.approx(1.0 / (2.0 * k))
         assert bound == pytest.approx(C / (C + 2.0 * k))
         assert actual <= bound + 1e-8
 
     def test_first_kind_bound_1d(self):
         A = tridiag(64)
-        M = l1_jacobi_diag(A)
         P = linear_interp_1d(64)
         cfg = PolySmootherConfig(family="opt_cheb1", degree=2)
-        C, gamma, bound, actual = two_level_constants(A, P, M, cfg)
+        C, gamma, bound, actual = two_level_constants(A, P, cfg)
         assert gamma == pytest.approx(0.112015284483472, rel=1e-4)
         assert actual <= C / (C + 1.0 / 0.112015284483472) + 1e-8
 
@@ -511,18 +530,17 @@ class TestTwoLevelConstants:
     def test_gamma_is_smoothing_constant(self, family):
         A = tridiag(16)
         cfg = PolySmootherConfig(family=family, degree=3)
-        C, gamma, bound, _ = two_level_constants(A, linear_interp_1d(16), l1_jacobi_diag(A), cfg)
+        C, gamma, bound, _ = two_level_constants(A, linear_interp_1d(16), cfg)
         assert gamma == smoothing_constant(cfg)
         assert bound == C / (C + 1.0 / gamma)
 
     def test_bound_ordering_matches_gamma_ordering(self):
         A = poisson2d_5pt(8)
-        M = l1_jacobi_diag(A)
         P1 = linear_interp_1d(8).to_dense()
         P = CsrMatrix.from_dense(np.kron(P1, P1))
         bounds = {}
         for family in ("cheb4", "opt_cheb4", "opt_cheb1"):
             cfg = PolySmootherConfig(family=family, degree=3)
-            bounds[family] = two_level_constants(A, P, M, cfg)[2]
+            bounds[family] = two_level_constants(A, P, cfg)[2]
         assert bounds["opt_cheb4"] <= bounds["opt_cheb1"] <= bounds["cheb4"]
 

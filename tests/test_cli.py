@@ -91,11 +91,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "bogus=1", "coarse_solver=l1_jacobi", "prolongator_smoothing=true",
         "strength_theta=0.01", "matching_sweeps=3", "n=64", "distribution=equispaced",
-        "coarse_sweeps=30", "min_coarse_size=200", "max_levels=10",
+        "coarse_sweeps=30", "min_coarse_size=200", "max_levels=10", "foo",
     ])
     def test_config_error_is_2(self, override, capsys):
         assert main(["solve", "--override", override]) == EXIT_CONFIG
-        assert "unknown config key" in capsys.readouterr().err
+        message = "unknown config key" if "=" in override else "expected key=value"
+        assert message in capsys.readouterr().err
 
     def test_spectral_problem_is_2(self, capsys):
         assert main(["solve", "--override", "problem=spectral"]) == EXIT_CONFIG
@@ -158,8 +159,13 @@ class TestExitCodes:
         assert main(["solve", "--override", "m=6", "--override", "tol=nan"]) == EXIT_CONFIG
         assert "tol must be finite and positive" in capsys.readouterr().err
 
-    def test_bad_kmax_is_2(self, capsys):
-        assert main(["optimize", "--kmax", "99"]) == EXIT_CONFIG
+    @pytest.mark.parametrize("args, message", [
+        (["optimize", "--kmax", "99"], "kmax must lie in 0..30"),
+        (["bounds", "--kmax", "13"], "kmax must lie in 0..12"),
+    ], ids=["optimize", "bounds"])
+    def test_bad_kmax_is_2(self, args, message, capsys):
+        assert main(args) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["optimize", "--kmax", "2"],
@@ -374,6 +380,7 @@ class TestSpectrumGridCommand:
         ["--sizes", "16,16", "--degrees", "1"],
         ["--sizes", "4,4", "--degrees", "1"],
         ["--sizes", "16", "--degrees", "2,1,2"],
+        ["--sizes", "16", "--degrees", "0"],
     ])
     def test_bad_values_are_config_errors(self, extra, capsys):
         assert main(["spectrum-grid"] + extra) == EXIT_CONFIG

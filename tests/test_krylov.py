@@ -1,3 +1,6 @@
+import math
+import types
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,31 @@ class TestSolve:
         assert rep.breakdown
         assert not rep.converged
         assert rep.iterations == 0
+
+    @pytest.mark.parametrize("variant", ["pcg", "fcg"])
+    def test_overflowing_residual_is_breakdown(self, variant):
+        # alpha = 1e10 from the tiny first entry overflows the second residual entry
+        A = types.SimpleNamespace(matvec=lambda x: np.array([1e-10 * x[0], 1e300 * x[0]]))
+        precond = lambda r: np.array([r[0], 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, rep = solve(A, np.ones(2), precond=precond, cfg=KrylovConfig(variant=variant))
+        assert rep.breakdown
+        assert not rep.converged
+        assert rep.iterations == rep.spmv_count == rep.precond_count == 1
+        assert rep.final_relres == math.inf
+
+    def test_infinite_preconditioner_after_one_iteration_is_breakdown(self):
+        calls = []
+
+        def precond(r):
+            calls.append(None)
+            return r.copy() if len(calls) == 1 else np.full_like(r, np.inf)
+
+        with np.errstate(invalid="ignore"):
+            _, rep = solve(tridiag(10), np.ones(10), precond=precond)
+        assert rep.breakdown
+        assert not rep.converged
+        assert rep.iterations == rep.spmv_count == 1
 
     def test_a_norm_error_monotone(self):
         A = random_spd(25, seed=6)

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -280,6 +281,12 @@ class TestDataAssets:
         for k, bt in tables.items():
             assert len(bt.beta) == k
             assert bt.gamma_value > 0
+
+    def test_beta_table_of_wrong_length_is_rejected(self, tmp_path, monkeypatch):
+        (tmp_path / "beta_tables.csv").write_text("k,gamma_value,beta\n2,0.1,1.1 0.9 0.5\n")
+        monkeypatch.setattr(optimize, "resources", types.SimpleNamespace(files=lambda _: tmp_path))
+        with pytest.raises(ValueError, match="beta table length must equal the degree"):
+            load_beta_tables.__wrapped__()
 
     def test_beta_table_gamma_matches_recompute(self):
         bt = optimize_beta(3)

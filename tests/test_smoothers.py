@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from amgpoly.chebyshev import fourth_kind_basis, scaled_cheb_eval
 from amgpoly.amg import build_hierarchy
+from amgpoly.optimize import load_beta_tables, solve_a_star
 from amgpoly.problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
 from amgpoly.smoothers import (
     FAMILIES,
@@ -17,7 +18,6 @@ from amgpoly.smoothers import (
     error_polynomial_coeffs,
     l1_jacobi_diag,
     smoother_apply,
-    smoother_error_apply,
     smoother_error_oracle,
     smoothing_constant,
     step_coefficients,
@@ -89,11 +89,12 @@ class TestConfig:
 
     def test_opt_cheb1_defaults_to_table_endpoint(self):
         cfg = PolySmootherConfig(family="opt_cheb1", degree=4)
-        assert cfg.a == pytest.approx(0.0820780659590383, abs=1e-12)
+        # the first step divides by theta = (1 + a)/2
+        assert cfg.steps[0][1] == pytest.approx(2.0 / (1.0 + 0.0820780659590383), abs=1e-12)
 
     def test_opt_cheb4_loads_table(self):
         cfg = PolySmootherConfig(family="opt_cheb4", degree=3)
-        assert len(cfg.beta.beta) == 3
+        assert [w for _, _, w in cfg.steps] == list(load_beta_tables()[3].beta)
 
     def test_opt_cheb4_without_table_raises(self):
         with pytest.raises(ValueError, match="no opt_cheb4 beta table"):
@@ -124,7 +125,7 @@ class TestSmootherApply:
         M = np.array([2.0, 3.0])
         e0 = np.array([1.0, -2.0])
         cfg = PolySmootherConfig(family="cheb4", degree=1)
-        out = smoother_error_apply(cfg, A, M, e0)
+        out = smoother_apply(cfg, A, M, np.zeros_like(e0), e0)
         assert np.allclose(out, -e0 / 3.0, atol=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 6])
@@ -134,8 +135,8 @@ class TestSmootherApply:
         M = np.ones(5)
         cfg = PolySmootherConfig(family="opt_cheb1", degree=k)
         e0 = np.array([1.0, -1.0, 2.0, 0.5, -0.25])
-        out = smoother_error_apply(cfg, A, M, e0)
-        expected = np.array([scaled_cheb_eval(cfg.a, k, l) for l in lam]) * e0
+        out = smoother_apply(cfg, A, M, np.zeros_like(e0), e0)
+        expected = np.array([scaled_cheb_eval(solve_a_star(k), k, l) for l in lam]) * e0
         assert np.allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -156,7 +157,7 @@ class TestSmootherApply:
         M = l1_jacobi_diag(A)
         cfg = PolySmootherConfig(family=family, degree=3)
         e0 = rng.standard_normal(25)
-        e1 = smoother_error_apply(cfg, A, M, e0)
+        e1 = smoother_apply(cfg, A, M, np.zeros_like(e0), e0)
         assert e1 @ Ad @ e1 < e0 @ Ad @ e0
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -287,7 +288,7 @@ class TestOracleEquivalence:
         e0 = np.arange(8.0)
         # degree-1 sanity: both paths agree
         assert np.allclose(
-            smoother_error_apply(cfg, A, M, e0),
+            smoother_apply(cfg, A, M, np.zeros_like(e0), e0),
             smoother_error_oracle(A, M, cfg, e0),
             atol=1e-13,
         )
@@ -300,7 +301,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed + 1)
         e0 = rng.standard_normal(30)
         cfg = PolySmootherConfig(family=family, degree=k)
-        got = smoother_error_apply(cfg, A, M, e0)
+        got = smoother_apply(cfg, A, M, np.zeros_like(e0), e0)
         want = smoother_error_oracle(A, M, cfg, e0)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(e0)
 
@@ -311,6 +312,6 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(0)
         e0 = rng.standard_normal(A.nrows)
         cfg = PolySmootherConfig(family=family, degree=6)
-        got = smoother_error_apply(cfg, A, M, e0)
+        got = smoother_apply(cfg, A, M, np.zeros_like(e0), e0)
         want = smoother_error_oracle(A, M, cfg, e0)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(e0)
