@@ -23,10 +23,18 @@ the greedy loop would skip anyway, and only the live edges reach the Python
 loop.  Between sweeps the graph is contracted as ``(Pc^T @ cur) @ Pc``,
 all in CSR.  A pair has at most two rows, so each product sums at most two
 terms per entry, and such a sum does not depend on the order of its terms.
+
+Setup runs in float64.  The solve runs each V-cycle in float32 under the
+float64 Krylov loop (``as_vcycle_preconditioner``): the V-cycle is only the
+preconditioner, and the outer loop sets the accuracy.  Its solve time goes
+to memory traffic, which float32 halves for every vector and matrix value it
+reads.  Power-of-two scalings keep the float32 operands in range; they are
+exact, so they change no bit that a plain cast would produce.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,7 +365,36 @@ def vcycle_apply(h, r, _level=0):
 
 
 def as_vcycle_preconditioner(h):
-    return lambda r: vcycle_apply(h, r)
+    """The V-cycle as the preconditioner r -> z of the float64 Krylov loop, run in float32.
+
+    Once, every level's A, M, P and R is copied to float32, with A and M
+    scaled by 2^-q, q the binary exponent of max |a_ij| on the finest level.
+    Each application scales r by 2^-p, p the exponent of max |r_i|, as it
+    casts r to float32, runs ``vcycle_apply`` on the float32 levels and
+    scales the correction by 2^(p-q) as it casts it back to float64.  The
+    V-cycle is linear in r, and scaling every A and M by s scales its
+    correction by 1/s, so the scalings cancel.  A power of two is exact:
+    in float32's range the result has the bits of plain casts, and beyond it
+    (|a_ij| or |r_i| over 3.4e38) nothing overflows.
+    """
+    q = int(np.frexp(np.max(np.abs(h.levels[0].A.values)))[1])
+    scale = np.ldexp(1.0, -q)
+    h32 = dataclasses.replace(h, levels=tuple(
+        Level(
+            A=l.A.float32_twin(scale),
+            M=np.multiply(l.M, scale, out=np.empty(len(l.M), np.float32)),
+            P=None if l.P is None else l.P.float32_twin(),
+            R=None if l.R is None else l.R.float32_twin(),
+        )
+        for l in h.levels
+    ))
+
+    def apply(r):
+        p = int(np.frexp(max(r.max(), -r.min()))[1])
+        r32 = np.multiply(r, np.ldexp(1.0, -p), out=np.empty(len(r), np.float32))
+        return np.multiply(vcycle_apply(h32, r32), np.ldexp(1.0, p - q), dtype=np.float64)
+
+    return apply
 
 
 # -- dense two-level oracle -------------------------------------------------

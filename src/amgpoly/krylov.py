@@ -2,6 +2,8 @@
 
 The stopping test uses the relative residual ||b - A x|| / ||b||, the only
 computable proxy for the error tolerance quoted with the benchmark runs.
+Everything here runs in float64; the preconditioner may run in lower
+precision (the AMG V-cycle runs in float32) and returns float64.
 """
 
 from __future__ import annotations

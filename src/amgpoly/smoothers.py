@@ -42,6 +42,9 @@ from .sparse import CsrMatrix
 
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
 
+# the dtype object of every native float32 array, so the test is one identity check
+_FLOAT32 = np.dtype(np.float32)
+
 
 def l1_jacobi_diag(A):
     """l1-Jacobi diagonal of a square matrix with positive diagonal.
@@ -99,10 +102,10 @@ def step_coefficients(config):
     if config.family in ("cheb4", "opt_cheb4"):
         betas = load_beta_tables()[k].beta if config.family == "opt_cheb4" else np.ones(k)
         return tuple(
-            ((2 * j - 3) / (2 * j + 1), (8 * j - 4) / (2 * j + 1), betas[j - 1])
+            ((2 * j - 3) / (2 * j + 1), (8 * j - 4) / (2 * j + 1), float(betas[j - 1]))
             for j in range(1, k + 1)
         )
-    a = solve_a_star(k)
+    a = float(solve_a_star(k))  # Python floats throughout: they keep a float32 step in float32
     theta, delta = (1.0 + a) / 2.0, (1.0 - a) / 2.0
     sigma1 = theta / delta
     steps = [(0.0, 1.0 / theta, 1.0)]
@@ -120,16 +123,19 @@ def smoother_apply(config, A, M, b, x0=None):
     From an explicit ``x0`` each family performs exactly k operator
     applications (SpMV), matching the cost of k basic sweeps.  With
     ``x0=None`` the step starts from x = 0, whose residual is b itself, and
-    performs k - 1; the result is the same as from ``x0 = 0``.
+    performs k - 1; the result is the same as from ``x0 = 0``.  A float32
+    ``b`` runs the step in float32 (A and M are then float32 too: the
+    V-cycle's level copies); anything else runs in float64.
     """
-    b = np.asarray(b, dtype=np.float64)
+    dtype = _FLOAT32 if getattr(b, "dtype", None) is _FLOAT32 else np.float64
+    b = np.asarray(b, dtype=dtype)
     n = len(b)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(n, dtype) if x0 is None else np.array(x0, dtype=dtype)
     if len(x) != n or n != A.nrows:
         raise ValueError("dimension mismatch")
     r = b.copy() if x0 is None else b - A.matvec(x)
-    d = np.empty(n)  # every family's first step overwrites it
-    s = np.empty(n)  # scratch for e_j M^-1 r, then w_j d
+    d = np.empty(n, dtype)  # every family's first step overwrites it
+    s = np.empty(n, dtype)  # scratch for e_j M^-1 r, then w_j d
     for j, (c, e, w) in enumerate(config.steps, 1):
         if j == 1 or c == 0.0:
             # d = 0 before the first step, and c_j = 0 cancels it later:

@@ -1,7 +1,10 @@
 """Sparse CSR storage and counted SpMV.
 
 ``CsrMatrix`` is one scipy CSR matrix with checked structure: sorted,
-duplicate-free columns.  Every operator application of the solve phase
+duplicate-free columns.  Its values are float64, except in the float32
+copies of the hierarchy (``float32_twin``) on which
+``amg.as_vcycle_preconditioner`` runs each V-cycle; ``spmv`` runs in the
+matrix's precision.  Every operator application of the solve phase
 (smoothers, V-cycle, Krylov) goes through ``spmv``, which counts it.  The
 setup kernels (``amg``, ``smoothers.l1_jacobi_diag``) read the scipy matrix
 through ``to_scipy``.  A matrix they build and nothing else holds (a
@@ -35,14 +38,17 @@ class CsrMatrix:
     constructor once the arrays pass the structural checks.  ``row_ptr``,
     ``col_idx`` and ``values`` are its ``indptr``, ``indices`` and ``data``
     (scipy picks the index dtype), and ``to_scipy()`` returns it; there is
-    no second copy of any array.
+    no second copy of any array.  float32 values are kept; any other real
+    dtype is converted to float64.
     """
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values):
         row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
         if np.iscomplexobj(values):
             raise ValueError("complex values are not supported")
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        if values.dtype != np.float32:
+            values = np.asarray(values, dtype=np.float64)
         nnz = len(values)
         if row_ptr.shape != (nrows + 1,):
             raise ValueError("row_ptr must have length nrows+1")
@@ -117,6 +123,10 @@ class CsrMatrix:
         return self._m.data
 
     @property
+    def dtype(self):
+        return self._m.data.dtype
+
+    @property
     def nnz(self):
         return len(self._m.data)
 
@@ -125,6 +135,19 @@ class CsrMatrix:
 
     def to_dense(self):
         return self.to_scipy().toarray()
+
+    def float32_twin(self, scale=1.0):
+        """This matrix with float32 values ``scale * a_ij``, each rounded once.
+
+        The product is formed in float64 and rounded as it is stored, so a
+        power-of-two ``scale`` is exact and moves values that a plain cast
+        would overflow into float32's range.  The twin shares ``row_ptr`` and
+        ``col_idx``, already checked here, and skips the O(nnz) checks.
+        """
+        twin = CsrMatrix.__new__(CsrMatrix)
+        values = np.multiply(self.values, scale, out=np.empty(self.nnz, np.float32))
+        twin._m = scipy.sparse.csr_matrix((values, self.col_idx, self.row_ptr), shape=self._m.shape)
+        return twin
 
     def transpose(self):
         return CsrMatrix._adopt(self.to_scipy().T.tocsr())
@@ -145,8 +168,8 @@ class CsrMatrix:
 
 
 def spmv(A, x):
-    """y = A @ x, accumulated in stored-entry order within each row."""
-    x = np.asarray(x, dtype=np.float64)
+    """y = A @ x in A's precision, accumulated in stored-entry order within each row."""
+    x = np.asarray(x, dtype=A.dtype)
     if A.ncols != len(x):
         raise ValueError(f"dimension mismatch: A is {A.nrows}x{A.ncols}, x has {len(x)}")
     global _spmv_calls

@@ -8,7 +8,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amgpoly import amg
+from amgpoly import amg, sparse
 from amgpoly.amg import (
     POWER_STEPS,
     as_vcycle_preconditioner,
@@ -384,9 +384,11 @@ class TestVcycle:
         assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.abs(rhs).max()))
 
     def test_preconditioner_symmetric_positive(self, rng):
+        # the float64 V-cycle as an operator; the float32 preconditioner
+        # built from it is held to it in TestFloat32Preconditioner
         A, _ = poisson3d(4)
         h = build_hierarchy(A, min_coarse_size=10)
-        B = as_vcycle_preconditioner(h)
+        B = lambda r: vcycle_apply(h, r)
         for _ in range(5):
             u, v = rng.standard_normal(64), rng.standard_normal(64)
             assert B(u) @ v == pytest.approx(u @ B(v), rel=1e-10, abs=1e-10)
@@ -482,6 +484,82 @@ class TestVcycle:
         )
         r = rng.standard_normal(A.nrows)
         assert np.array_equal(vcycle_apply(h, r), reference(h, r))
+
+
+class TestFloat32Preconditioner:
+    """``as_vcycle_preconditioner`` runs the V-cycle in float32 between two float64 casts."""
+
+    CASES = {
+        "poisson3d-m4": lambda: poisson3d(4),
+        "poisson3d-m16": lambda: poisson3d(16),
+        "aniso2d-m64": lambda: aniso2d_q1(64, 100.0, math.pi / 6),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_float64_out_positive_and_close_to_the_float64_vcycle(self, case, rng):
+        A, _ = self.CASES[case]()
+        h = build_hierarchy(A, min_coarse_size=10)
+        B = as_vcycle_preconditioner(h)
+        for _ in range(3):
+            r = rng.standard_normal(A.nrows)
+            z, want = B(r), vcycle_apply(h, r)
+            assert z.dtype == np.float64
+            assert r @ z > 0.0
+            assert np.linalg.norm(z - want) <= 1e-5 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("k, sweeps", [(1, 1), (3, 5), (4, 30)])
+    def test_spmv_accounting_matches_the_float64_vcycle(self, k, sweeps, monkeypatch):
+        # the count of test_spmv_count_per_vcycle, on float32 operators with
+        # the shapes and nnz of their float64 twins, in the same order
+        A, _ = poisson3d(8)
+        h = build_hierarchy(
+            A,
+            smoother=PolySmootherConfig(family="cheb4", degree=k),
+            min_coarse_size=10,
+            max_levels=3,
+            coarse_sweeps=sweeps,
+        )
+        calls = []
+
+        def recording(mat, x):
+            calls.append((mat.nrows, mat.ncols, mat.nnz, mat.dtype))
+            return spmv(mat, x)
+
+        B = as_vcycle_preconditioner(h)
+        r = np.ones(A.nrows)
+        monkeypatch.setattr(sparse, "spmv", recording)
+        monkeypatch.setattr(amg, "spmv", recording)
+        before = spmv_count()
+        B(r)
+        assert spmv_count() - before == 2 * (2 * k + 2) + sweeps - 1
+        ran32, calls[:] = calls[:], []
+        vcycle_apply(h, r)
+        assert [c[:3] for c in ran32] == [c[:3] for c in calls]
+        assert {c[3] for c in ran32} == {np.dtype(np.float32)}
+        assert {c[3] for c in calls} == {np.dtype(np.float64)}
+
+    def test_scaled_residual_gives_the_same_run(self):
+        # powers of two are exact all the way: r * 2^200 runs the same
+        # float32 V-cycle, and PCG's relative residuals repeat bit for bit
+        A, b = poisson3d(8)
+        h = build_hierarchy(A)
+        B = as_vcycle_preconditioner(h)
+        _, rep = solve(A, b, precond=B)
+        _, rep_big = solve(A, b * 2.0**200, precond=B)
+        assert rep.converged and rep_big.converged
+        assert rep_big.iterations == rep.iterations
+        assert rep_big.residual_history == rep.residual_history
+
+    def test_operator_beyond_float32_range(self):
+        # entries near 1e40 overflow a plain float32 cast; scaled by 2^-q
+        # they do not, and the preconditioner stays close to the float64 one
+        A, _ = poisson3d(8)
+        A = CsrMatrix.from_scipy(A.to_scipy() * 1e40)
+        h = build_hierarchy(A)
+        r = np.random.default_rng(3).standard_normal(A.nrows) * 1e45
+        z, want = as_vcycle_preconditioner(h)(r), vcycle_apply(h, r)
+        assert np.all(np.isfinite(z))
+        assert np.linalg.norm(z - want) <= 1e-5 * np.linalg.norm(want)
 
 
 class TestTwoLevelConstants:

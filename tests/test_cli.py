@@ -305,6 +305,15 @@ class TestSolveCommand:
             iters[fam] = json.loads(out.read_text())["solve"]["iterations"]
         assert iters["opt_cheb1"] <= iters["l1_jacobi"]
 
+    @pytest.mark.parametrize("epsilon", ["1e40", "1e60"])
+    def test_coefficients_beyond_float32_range_converge(self, epsilon):
+        # the float32 V-cycle scales A into float32's range; a plain cast of
+        # these operators overflows, and PCG breaks down at iteration 0
+        cfg = parse_config(None, ["problem=aniso2d", "m=16", f"epsilon={epsilon}"])
+        _, rep = run_solve(cfg)
+        assert rep.converged and not rep.breakdown
+        assert rep.iterations == 40
+
 
 # The AMG-PCG solves of scripts/run_experiments.py, read from the script's own
 # tables, with their exact iteration counts; a kernel change that costs an

@@ -238,6 +238,43 @@ class TestZeroGuess:
         assert spmv_count() - before == 4
 
 
+class TestFloat32:
+    """A float32 ``b`` runs the whole step in float32, as the V-cycle's levels do."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("x0", [None, "given"])
+    def test_float32_in_float32_out(self, family, x0, rng):
+        A, _ = poisson3d(5)
+        M = l1_jacobi_diag(A)
+        cfg = PolySmootherConfig(family=family, degree=4)
+        b = rng.standard_normal(A.nrows)
+        x = None if x0 is None else rng.standard_normal(A.nrows)
+        want = smoother_apply(cfg, A, M, b, x)
+        before = spmv_count()
+        got = smoother_apply(cfg, A.float32_twin(), M.astype(np.float32), b.astype(np.float32),
+                             None if x is None else x.astype(np.float32))
+        assert spmv_count() - before == (3 if x0 is None else 4)
+        assert got.dtype == np.float32
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("family, k", ZERO_GUESS_CASES)
+    def test_bitwise_equal_to_float32_expression_form(self, family, k):
+        # every operation rounds to float32: no step goes through float64
+        A, _ = poisson3d(5)
+        A32, M = A.float32_twin(), l1_jacobi_diag(A).astype(np.float32)
+        cfg = PolySmootherConfig(family=family, degree=k)
+        b = np.random.default_rng(k).standard_normal(A.nrows).astype(np.float32)
+        x, d, r = np.zeros_like(b), np.zeros_like(b), b.copy()
+        for j, (c, e, w) in enumerate(step_coefficients(cfg), 1):
+            d = np.float32(c) * d + np.float32(e) * (r / M)
+            x = x + np.float32(w) * d
+            if j < k:
+                r = r - A32.matvec(d)
+        got = smoother_apply(cfg, A32, M, b)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, x)
+
+
 class TestErrorPolynomial:
     def test_l1_jacobi_coeffs(self):
         cfg = PolySmootherConfig(family="l1_jacobi", degree=2)

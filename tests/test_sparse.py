@@ -105,6 +105,59 @@ class TestCsrMatrix:
         assert not B.is_symmetric()
 
 
+class TestFloat32:
+    def test_constructor_keeps_float32_and_converts_the_rest(self):
+        ptr, cols = np.arange(3), np.arange(2)
+        for values, want in [
+            (np.ones(2, np.float32), np.float32),
+            (np.ones(2, np.float16), np.float64),
+            (np.ones(2, np.int64), np.float64),
+            ([1, 2], np.float64),
+        ]:
+            assert CsrMatrix(2, 2, ptr, cols, values).dtype == want
+
+    def test_twin_shares_structure_and_rounds_once(self, monkeypatch):
+        A, _ = poisson3d(5)
+        A = CsrMatrix.from_scipy(A.to_scipy() * (1.0 / 3.0))
+        # the structure was checked when A was built: the twin skips the checks
+        def checked_constructor(self, *args):
+            raise AssertionError("the twin must not re-run the structural checks")
+
+        monkeypatch.setattr(CsrMatrix, "__init__", checked_constructor)
+        T = A.float32_twin()
+        assert T.dtype == np.float32
+        assert (T.nrows, T.ncols, T.nnz) == (A.nrows, A.ncols, A.nnz)
+        assert np.shares_memory(T.row_ptr, A.row_ptr)
+        assert np.shares_memory(T.col_idx, A.col_idx)
+        assert T.values.tobytes() == A.values.astype(np.float32).tobytes()
+        # a power of two is exact: the scaled twin is the plain cast, scaled
+        S = A.float32_twin(2.0**-3)
+        assert S.values.tobytes() == (A.values.astype(np.float32) * np.float32(0.125)).tobytes()
+
+    def test_twin_scales_before_it_rounds(self):
+        # 1e40 overflows float32; scaled by 2^-133 it lies in [1/2, 1)
+        A = CsrMatrix.from_dense(np.diag([1e40, 1.0]))
+        T = A.float32_twin(2.0**-133)
+        assert np.all(np.isfinite(T.values))
+        assert T.values[0] == np.float32(1e40 * 2.0**-133)
+        assert T.values[1] == np.float32(2.0**-133)  # subnormal, exact
+
+    def test_spmv_runs_in_the_matrix_precision(self, rng):
+        A, _ = poisson3d(4)
+        A = CsrMatrix.from_scipy(A.to_scipy() * (1.0 / 3.0))
+        x = rng.standard_normal(A.nrows)
+        x32 = x.astype(np.float32)
+        y32 = spmv(A.float32_twin(), x32)
+        assert y32.dtype == np.float32
+        assert y32.tobytes() == A.to_scipy().astype(np.float32).dot(x32).tobytes()
+        # a float64 matrix runs in float64, as it did before float32 matrices
+        # existed: x is converted and the product is scipy's
+        for v in (x, x32, x.tolist()):
+            y = spmv(A, v)
+            assert y.dtype == np.float64
+            assert y.tobytes() == A.to_scipy().dot(np.asarray(v, dtype=np.float64)).tobytes()
+
+
 class TestSpmv:
     def test_identity(self):
         x = np.array([1.0, 2.0, 3.0])
