@@ -24,12 +24,8 @@ loop.  Between sweeps the graph is contracted as ``(Pc^T @ cur) @ Pc``,
 all in CSR.  A pair has at most two rows, so each product sums at most two
 terms per entry, and such a sum does not depend on the order of its terms.
 
-Setup runs in float64.  The solve runs each V-cycle in float32 under the
-float64 Krylov loop (``as_vcycle_preconditioner``): the V-cycle is only the
-preconditioner, and the outer loop sets the accuracy.  Its solve time goes
-to memory traffic, which float32 halves for every vector and matrix value it
-reads.  Power-of-two scalings keep the float32 operands in range; they are
-exact, so they change no bit that a plain cast would produce.
+Setup runs in float64; ``as_vcycle_preconditioner`` is the one place that
+picks float32 (its docstring states the contract).
 """
 
 from __future__ import annotations
@@ -367,15 +363,26 @@ def vcycle_apply(h, r, _level=0):
 def as_vcycle_preconditioner(h):
     """The V-cycle as the preconditioner r -> z of the float64 Krylov loop, run in float32.
 
-    Once, every level's A, M, P and R is copied to float32, with A and M
-    scaled by 2^-q, q the binary exponent of max |a_ij| on the finest level.
-    Each application scales r by 2^-p, p the exponent of max |r_i|, as it
-    casts r to float32, runs ``vcycle_apply`` on the float32 levels and
-    scales the correction by 2^(p-q) as it casts it back to float64.  The
-    V-cycle is linear in r, and scaling every A and M by s scales its
-    correction by 1/s, so the scalings cancel.  A power of two is exact:
-    in float32's range the result has the bits of plain casts, and beyond it
+    This is the only code that makes float32 operands.  Once, every level's
+    A, M, P and R is copied to float32 (``CsrMatrix.float32_twin``), with A
+    and M scaled by 2^-q, q the binary exponent of max |a_ij| on the finest
+    level.  Each application scales r by 2^-p, p the exponent of max |r_i|,
+    as it casts r to float32, runs ``vcycle_apply`` on the float32 levels and
+    scales the correction by 2^(p-q) as it casts it back to float64.
+    ``vcycle_apply``, ``smoother_apply`` and ``spmv`` add no cast of their
+    own: each runs in the dtype of the operands it is given, and everything
+    else runs in float64.  The V-cycle is only the preconditioner, and the
+    outer loop sets the accuracy; its time goes to memory traffic, which
+    float32 halves.
+
+    The V-cycle is linear in r, and scaling every A and M by s scales its
+    correction by 1/s, so the scalings cancel.  A power of two is exact: in
+    float32's range the result has the bits of plain casts, and beyond it
     (|a_ij| or |r_i| over 3.4e38) nothing overflows.
+
+    The returned callable holds the float32 levels and not ``h``: a caller
+    that drops its last reference to ``h`` frees the float64 P, R, M and
+    coarse A, and keeps only the fine float64 A that the Krylov loop reads.
     """
     q = int(np.frexp(np.max(np.abs(h.levels[0].A.values)))[1])
     scale = np.ldexp(1.0, -q)
@@ -390,6 +397,9 @@ def as_vcycle_preconditioner(h):
     ))
 
     def apply(r):
+        # krylov.solve scales b into range once, but r shrinks as PCG
+        # converges; rescaling each r keeps its bits and the V-cycle's small
+        # entries out of float32's subnormals, which measured slower
         p = int(np.frexp(max(r.max(), -r.min()))[1])
         r32 = np.multiply(r, np.ldexp(1.0, -p), out=np.empty(len(r), np.float32))
         return np.multiply(vcycle_apply(h32, r32), np.ldexp(1.0, p - q), dtype=np.float64)

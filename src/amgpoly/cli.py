@@ -191,12 +191,11 @@ def run_solve(cfg):
         hierarchy = build_hierarchy(A, coarsening=v["coarsening"], smoother=smoother)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _, rep = solve(A, b, precond=as_vcycle_preconditioner(hierarchy), cfg=kcfg)
-    report = {
-        "config": cfg,
-        "solve": dataclasses.asdict(rep),
-        "hierarchy": hierarchy.summary(),
-    }
+    summary = hierarchy.summary()
+    precond = as_vcycle_preconditioner(hierarchy)
+    del hierarchy  # frees the float64 levels the solve does not read
+    _, rep = solve(A, b, precond=precond, cfg=kcfg)
+    report = {"config": cfg, "solve": dataclasses.asdict(rep), "hierarchy": summary}
     return report, rep
 
 

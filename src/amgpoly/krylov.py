@@ -3,7 +3,10 @@
 The stopping test uses the relative residual ||b - A x|| / ||b||, the only
 computable proxy for the error tolerance quoted with the benchmark runs.
 Everything here runs in float64; the preconditioner may run in lower
-precision (the AMG V-cycle runs in float32) and returns float64.
+precision and returns float64.  The solve runs on b scaled by a power of
+two into [1/2, 1), so its norms and dot products neither underflow nor
+overflow for any finite b; the scaling is exact, so in range it changes
+no bit of the iterates or of the report.
 """
 
 from __future__ import annotations
@@ -51,22 +54,17 @@ def solve(A, b, precond=None, cfg=None):
     """
     cfg = cfg or KrylovConfig()
     b = np.asarray(b, dtype=np.float64)
+    bmax = float(np.max(np.abs(b), initial=0.0))
+    p = int(np.frexp(bmax)[1]) if math.isfinite(bmax) else 0  # 2^p > max|b| >= 2^(p-1)
+    b = np.ldexp(b, -p)
     x = np.zeros(len(b))
-
-    spmv = 0
-    pc = 0
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x, SolveReport(0, True, 0.0, [], 0, 0)
-
-    r = b.copy()  # b - A x, as x = 0
+    spmv = pc = 0
+    relres = 0.0
     history = []
-    relres = np.linalg.norm(r) / bnorm
-    if cfg.record_history:
-        history.append(relres)
 
     def report(it, converged, breakdown=False):
-        return SolveReport(
+        """The one exit: x scaled back by 2^p, and the report."""
+        return np.ldexp(x, p), SolveReport(
             iterations=it,
             converged=converged,
             final_relres=relres,
@@ -76,8 +74,17 @@ def solve(A, b, precond=None, cfg=None):
             breakdown=breakdown,
         )
 
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return report(0, True)
+
+    r = b.copy()  # b - A x, as x = 0
+    relres = np.linalg.norm(r) / bnorm
+    if cfg.record_history:
+        history.append(relres)
+
     if relres <= cfg.tol:
-        return x, report(0, True)
+        return report(0, True)
 
     apply_prec = precond if precond is not None else (lambda v: v.copy())
     z = apply_prec(r)
@@ -90,7 +97,7 @@ def solve(A, b, precond=None, cfg=None):
         spmv += 1
         dAd = float(d @ Ad)
         if not 0.0 < dAd < math.inf:  # NaN fails the comparison too
-            return x, report(it - 1, False, breakdown=True)
+            return report(it - 1, False, breakdown=True)
         alpha = rz / dAd if cfg.variant == "pcg" else float(r @ d) / dAd
         x += alpha * d
         r -= alpha * Ad
@@ -98,15 +105,15 @@ def solve(A, b, precond=None, cfg=None):
         if cfg.record_history:
             history.append(relres)
         if relres <= cfg.tol:
-            return x, report(it, True)
+            return report(it, True)
         if not math.isfinite(relres):
-            return x, report(it, False, breakdown=True)
+            return report(it, False, breakdown=True)
         z = apply_prec(r)
         pc += 1
         if cfg.variant == "pcg":
             rz_new = float(r @ z)
             if not math.isfinite(rz_new):
-                return x, report(it, False, breakdown=True)
+                return report(it, False, breakdown=True)
             beta = rz_new / rz
             rz = rz_new
             d = z + beta * d
@@ -115,4 +122,4 @@ def solve(A, b, precond=None, cfg=None):
             # A-orthogonal to the previous one
             beta = float(z @ Ad) / dAd
             d = z - beta * d
-    return x, report(cfg.itmax, False)
+    return report(cfg.itmax, False)

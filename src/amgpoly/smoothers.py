@@ -42,9 +42,6 @@ from .sparse import CsrMatrix
 
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
 
-# the dtype object of every native float32 array, so the test is one identity check
-_FLOAT32 = np.dtype(np.float32)
-
 
 def l1_jacobi_diag(A):
     """l1-Jacobi diagonal of a square matrix with positive diagonal.
@@ -123,11 +120,10 @@ def smoother_apply(config, A, M, b, x0=None):
     From an explicit ``x0`` each family performs exactly k operator
     applications (SpMV), matching the cost of k basic sweeps.  With
     ``x0=None`` the step starts from x = 0, whose residual is b itself, and
-    performs k - 1; the result is the same as from ``x0 = 0``.  A float32
-    ``b`` runs the step in float32 (A and M are then float32 too: the
-    V-cycle's level copies); anything else runs in float64.
+    performs k - 1; the result is the same as from ``x0 = 0``.  The step
+    runs in the dtype of ``M``, with ``A`` and ``b`` in the same dtype.
     """
-    dtype = _FLOAT32 if getattr(b, "dtype", None) is _FLOAT32 else np.float64
+    dtype = M.dtype
     b = np.asarray(b, dtype=dtype)
     n = len(b)
     x = np.zeros(n, dtype) if x0 is None else np.array(x0, dtype=dtype)

@@ -1,19 +1,18 @@
 """Sparse CSR storage and counted SpMV.
 
 ``CsrMatrix`` is one scipy CSR matrix with checked structure: sorted,
-duplicate-free columns.  Its values are float64, except in the float32
-copies of the hierarchy (``float32_twin``) on which
-``amg.as_vcycle_preconditioner`` runs each V-cycle; ``spmv`` runs in the
-matrix's precision.  Every operator application of the solve phase
-(smoothers, V-cycle, Krylov) goes through ``spmv``, which counts it.  The
-setup kernels (``amg``, ``smoothers.l1_jacobi_diag``) read the scipy matrix
-through ``to_scipy``.  A matrix they build and nothing else holds (a
-Galerkin product, a smoothed prolongator, a transpose) is canonicalized in
-place and wrapped by ``CsrMatrix._adopt``; the public ``from_scipy`` copies
-its argument first.  The generators in ``problems`` write canonical CSR
-arrays and pass them to the checked constructor.  Every kernel reads
-the same arrays in scipy's fixed evaluation order, so results are
-run-to-run deterministic.
+duplicate-free columns.  Its values are float64; only ``float32_twin``
+makes a float32 copy (``amg.as_vcycle_preconditioner`` is its caller), and
+``spmv`` runs in the matrix's precision.  Every operator application of the
+solve phase (smoothers, V-cycle, Krylov) goes through ``spmv``, which counts
+it.  The setup kernels (``amg``, ``smoothers.l1_jacobi_diag``) read the
+scipy matrix through ``to_scipy``.  A matrix they build and nothing else
+holds (a Galerkin product, a smoothed prolongator, a transpose) is
+canonicalized in place and wrapped by ``CsrMatrix._adopt``; the public
+``from_scipy`` copies its argument first.  The generators in ``problems``
+write canonical CSR arrays and pass them to the checked constructor.  Every
+kernel reads the same arrays in scipy's fixed evaluation order, so results
+are run-to-run deterministic.
 """
 
 from __future__ import annotations
@@ -38,17 +37,15 @@ class CsrMatrix:
     constructor once the arrays pass the structural checks.  ``row_ptr``,
     ``col_idx`` and ``values`` are its ``indptr``, ``indices`` and ``data``
     (scipy picks the index dtype), and ``to_scipy()`` returns it; there is
-    no second copy of any array.  float32 values are kept; any other real
-    dtype is converted to float64.
+    no second copy of any array.  Real values of any dtype are converted to
+    float64.
     """
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values):
         row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
         if np.iscomplexobj(values):
             raise ValueError("complex values are not supported")
-        values = np.asarray(values)
-        if values.dtype != np.float32:
-            values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
         nnz = len(values)
         if row_ptr.shape != (nrows + 1,):
             raise ValueError("row_ptr must have length nrows+1")

@@ -4,6 +4,7 @@ import inspect
 import json
 import pathlib
 import runpy
+import weakref
 
 import numpy as np
 import pytest
@@ -304,6 +305,29 @@ class TestSolveCommand:
             ])
             iters[fam] = json.loads(out.read_text())["solve"]["iterations"]
         assert iters["opt_cheb1"] <= iters["l1_jacobi"]
+
+    def test_float64_levels_are_freed_before_the_solve(self, monkeypatch):
+        # the preconditioner holds float32 copies of the levels; the float64
+        # hierarchy must not stay alive next to them through PCG
+        real_build, real_solve = cli.build_hierarchy, cli.solve
+        refs, alive = [], []
+
+        def build(*args, **kwargs):
+            h = real_build(*args, **kwargs)
+            coarse, fine = h.levels[1], h.levels[0]
+            refs.extend(weakref.ref(o) for o in (h, coarse.A, coarse.M, fine.P, fine.R, fine.M))
+            return h
+
+        def solve(*args, **kwargs):
+            alive.extend(ref() is not None for ref in refs)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_hierarchy", build)
+        monkeypatch.setattr(cli, "solve", solve)
+        report, rep = run_solve(parse_config(None, ["m=8"]))
+        assert rep.converged
+        assert len(report["hierarchy"]["levels"]) >= 2
+        assert alive == [False] * 6
 
     @pytest.mark.parametrize("epsilon", ["1e40", "1e60"])
     def test_coefficients_beyond_float32_range_converge(self, epsilon):

@@ -122,6 +122,42 @@ class TestSolve:
         assert rep.residual_history == []
 
 
+class TestRightHandSideScaling:
+    """``solve`` runs on b scaled by 2^-p into [1/2, 1) and scales x back."""
+
+    @pytest.fixture(scope="class")
+    def amg_problem(self):
+        A, b = poisson3d(8)
+        return A, b, as_vcycle_preconditioner(build_hierarchy(A))
+
+    @pytest.mark.parametrize("variant", ["pcg", "fcg"])
+    @pytest.mark.parametrize("preconditioned", [True, False])
+    @pytest.mark.parametrize("e", [-1000, 1000])
+    def test_power_of_two_scaling_keeps_every_bit(self, amg_problem, variant, preconditioned, e):
+        # b b under- or overflows at 2^-1000 and 2^1000: unscaled, the solve
+        # stops at iteration 0
+        A, b, precond = amg_problem
+        precond = precond if preconditioned else None
+        cfg = KrylovConfig(variant=variant)
+        x, rep = solve(A, b, precond=precond, cfg=cfg)
+        xs, reps = solve(A, np.ldexp(b, e), precond=precond, cfg=cfg)
+        assert rep.converged and reps.converged
+        assert reps.iterations == rep.iterations
+        assert reps.residual_history == rep.residual_history
+        assert np.array_equal(xs, np.ldexp(x, e))
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    def test_extreme_right_hand_sides_converge(self, amg_problem, factor):
+        A, b, precond = amg_problem
+        b = b * factor
+        x, rep = solve(A, b, precond=precond)
+        assert rep.converged and not rep.breakdown and rep.iterations > 0
+        # the true residual, with both vectors divided by max|b| to keep the norms in range
+        s = np.max(np.abs(b))
+        relres = np.linalg.norm((b - A.matvec(x)) / s) / np.linalg.norm(b / s)
+        assert relres <= KrylovConfig().tol
+
+
 class TestFcgAgreement:
     def test_fixed_preconditioner_equivalence(self):
         A, b = poisson3d(8)

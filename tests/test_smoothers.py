@@ -239,7 +239,7 @@ class TestZeroGuess:
 
 
 class TestFloat32:
-    """A float32 ``b`` runs the whole step in float32, as the V-cycle's levels do."""
+    """float32 operands, as on the V-cycle's level copies, run the whole step in float32."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("x0", [None, "given"])

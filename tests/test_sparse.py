@@ -106,15 +106,12 @@ class TestCsrMatrix:
 
 
 class TestFloat32:
-    def test_constructor_keeps_float32_and_converts_the_rest(self):
+    def test_constructor_converts_every_real_dtype_to_float64(self):
+        # float32_twin is the only way to a float32 matrix
         ptr, cols = np.arange(3), np.arange(2)
-        for values, want in [
-            (np.ones(2, np.float32), np.float32),
-            (np.ones(2, np.float16), np.float64),
-            (np.ones(2, np.int64), np.float64),
-            ([1, 2], np.float64),
-        ]:
-            assert CsrMatrix(2, 2, ptr, cols, values).dtype == want
+        for values in (np.ones(2, np.float32), np.ones(2, np.float16), np.ones(2, np.int64), [1, 2]):
+            assert CsrMatrix(2, 2, ptr, cols, values).dtype == np.float64
+        assert CsrMatrix.from_scipy(scipy.sparse.eye(3, dtype=np.float32, format="csr")).dtype == np.float64
 
     def test_twin_shares_structure_and_rounds_once(self, monkeypatch):
         A, _ = poisson3d(5)
@@ -150,8 +147,7 @@ class TestFloat32:
         y32 = spmv(A.float32_twin(), x32)
         assert y32.dtype == np.float32
         assert y32.tobytes() == A.to_scipy().astype(np.float32).dot(x32).tobytes()
-        # a float64 matrix runs in float64, as it did before float32 matrices
-        # existed: x is converted and the product is scipy's
+        # a float64 matrix runs in float64: x is converted and the product is scipy's
         for v in (x, x32, x.tolist()):
             y = spmv(A, v)
             assert y.dtype == np.float64
