@@ -1,4 +1,4 @@
-"""AMG hierarchy construction, V-cycle application, and dense bound oracles.
+"""AMG hierarchy construction and V-cycle application.
 
 Coarsening is either classical smoothed aggregation or repeated greedy
 pairwise matching; the tentative prolongator is damped by one weighted Jacobi
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .smoothers import PolySmootherConfig, l1_jacobi_diag, smoother_apply, smoothing_constant
+from .smoothers import PolySmootherConfig, l1_jacobi_diag, smoother_apply
 from .sparse import CsrMatrix, spmv
 
 # Power-iteration steps of estimate_lambda_max
@@ -406,50 +406,3 @@ def as_vcycle_preconditioner(h):
 
     return apply
 
-
-# -- dense two-level oracle -------------------------------------------------
-
-
-def two_level_constants(A, P, smoother):
-    """Dense evaluation of the two-level bound quantities.
-
-    Returns (C, gamma, bound, actual_E_norm_sq):
-      C      largest generalized eigenvalue of (T A T, M^-1) with
-             T = A^-1 - P Ac^-1 P^T and M the l1-Jacobi diagonal of A,
-      gamma  the smoother's ``smoothing_constant``,
-      bound  C/(C + 1/gamma), reducing to C/(C + 2k) for k plain sweeps,
-      actual the A-norm squared of E = G^T (I - P Ac^-1 P^T A) G.
-
-    Raises ``ValueError`` unless A is symmetric positive definite.
-    """
-    if not A.is_symmetric():
-        raise ValueError("A must be symmetric")
-    Ad = A.to_dense()
-    if np.any(np.linalg.eigvalsh(Ad) <= 0.0):
-        raise ValueError("A must be positive definite")
-    M = l1_jacobi_diag(A)
-    n = A.nrows
-    Pd = P.to_dense()
-    Ac = Pd.T @ Ad @ Pd
-    T = np.linalg.inv(Ad) - Pd @ np.linalg.inv(Ac) @ Pd.T
-    # C = sup ||T u||_A^2 over ||u|| <= 1 in the inverse-M norm, i.e. the
-    # largest eigenvalue of M^1/2 (T A T) M^1/2 = M^1/2 T M^1/2, since
-    # T A T = T.  This weighting is the one under which the smoothing
-    # constant gamma of M^-1 A closes the C/(C + 1/gamma) argument.
-    bs = np.sqrt(M)
-    S = T * np.outer(bs, bs)
-    S = (S + S.T) * 0.5
-    C = float(np.max(np.linalg.eigvalsh(S)))
-
-    gamma = smoothing_constant(smoother)
-    bound = C / (C + 1.0 / gamma)
-
-    # E = G^T (I - P Ac^-1 P^T A) G, columns via the runtime smoother kernel
-    eye = np.eye(n)
-    G = np.column_stack([smoother_apply(smoother, A, M, np.zeros(n), e) for e in eye])
-    corr = eye - Pd @ np.linalg.solve(Ac, Pd.T @ Ad)
-    # G and corr are A-self-adjoint, so E = G corr G is too: its transpose
-    # in the A inner product is itself, and its A-norm is its spectral radius.
-    E = G @ corr @ G
-    actual = float(np.max(np.abs(np.linalg.eigvals(E))) ** 2)
-    return C, gamma, bound, actual

@@ -19,8 +19,6 @@ from importlib import resources
 
 import numpy as np
 
-from .chebyshev import cheb1_eval, fourth_kind_basis, smoothing_limit_at_zero
-
 # brent_root's absolute root tolerance and its cap on the number of steps
 _BRENT_XTOL = 1e-15
 _BRENT_MAXITER = 200
@@ -113,18 +111,23 @@ def solve_a_star(k):
 def lambda_of(k, a):
     """max of the two branch values of the smoothing objective at endpoint a.
 
-    Left branch (the x -> 0+ limit on (0, a], ``smoothing_limit_at_zero``)
-    is 1/(2|c1|); right branch is the value at x = 1, namely
-    1/(tau_k(y)^2 - 1) with y = (1+a)/(1-a).  At a = a*_k the branches
-    equi-oscillate and the value is Lambda_k.
+    With y = (1+a)/(1-a), acosh(y) = 2 atanh(sqrt(a)), so with s = sqrt(a)
+    and u = 2k atanh(s), T_k(y) = cosh(u).  The left branch, the x -> 0+
+    limit 1/(2|tau'(0)|), is then s/(2k tanh u), and the right branch, the
+    value 1/(T_k(y)^2 - 1) at x = 1, is 1/sinh(u)^2.  1/sinh(u) is
+    evaluated as 2 e^-u / -expm1(-2u) and squared by a product, so every a
+    in (0, 1) gives a defined result (``inf`` where 1/sinh(u)^2 overflows,
+    a below about 1.4e-309/k^2).  At a = a*_k the branches equi-oscillate and
+    the value is Lambda_k.
     """
+    if k < 1:
+        raise ValueError("degree must be >= 1")
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    left = smoothing_limit_at_zero(a, k)
-    y = (1.0 + a) / (1.0 - a)
-    tk = cheb1_eval(k, y)
-    right = 1.0 / (tk * tk - 1.0)
-    return max(left, right)
+    s = math.sqrt(a)
+    u = 2.0 * k * math.atanh(s)
+    inv_sinh = 2.0 * math.exp(-u) / -math.expm1(-2.0 * u)
+    return max(s / (2.0 * k * math.tanh(u)), inv_sinh * inv_sinh)
 
 
 def theorem_bounds(k):
@@ -148,6 +151,19 @@ def gamma_cheb4(k):
 
 
 # -- optimized fourth-kind coefficients -------------------------------------
+
+
+def fourth_kind_basis(arg, k):
+    """Fourth-kind Chebyshev values [W_0(arg), ..., W_k(arg)].
+
+    W_0 = 1, W_1 = 2 arg + 1, W_{j+1} = 2 arg W_j - W_{j-1}.  ``arg`` may be
+    a float, a numpy array or a numpy ``Polynomial``; every fourth-kind
+    expansion in the package and its tests goes through this one recurrence.
+    """
+    W = [arg**0, 2.0 * arg + 1.0]
+    for _ in range(2, k + 1):
+        W.append(2.0 * arg * W[-1] - W[-2])
+    return W[: k + 1]
 
 
 def _beta_basis(k, grid):

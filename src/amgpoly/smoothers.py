@@ -1,4 +1,4 @@
-"""Runtime smoother kernels, smoothing constants and the error-polynomial oracle.
+"""Runtime smoother kernels.
 
 Every family damps the error as e_out = p(M^-1 A) e_in for its polynomial p,
 with M the l1-Jacobi diagonal, for which the spectrum of M^-1 A lies in
@@ -23,10 +23,9 @@ config builds its table once, when it is made.  The families:
               c_j = rho_j rho_{j-1}, e_j = 2 rho_j/delta with
               rho_1 = delta/theta, rho_j = 1/(2 theta/delta - rho_{j-1})
 
-``error_polynomial`` and the oracle are built from the polynomials p
-above, never from the step table, so that comparing the kernel against
-them checks the table.  ``smoothing_constant`` is each family's gamma in
-the V-cycle bound C/(C + 1/gamma), read from its closed form or table.
+The tests' oracles (``tests/oracles.py``) are built from the polynomials
+p above, never from the step table, so that comparing the kernel against
+them checks the table.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .chebyshev import fourth_kind_basis, scaled_cheb_eval
-from .optimize import gamma_cheb4, lambda_of, load_beta_tables, solve_a_star
+from .optimize import load_beta_tables, solve_a_star
 from .sparse import CsrMatrix
 
 FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
@@ -154,60 +151,6 @@ def smoother_apply(config, A, M, b, x0=None):
         if j < config.degree:  # final residual is not consumed
             r -= A.matvec(d)
     return x
-
-
-def smoothing_constant(config):
-    """The family's smoothing constant gamma = sup_{0 < t <= 1} t p(t)^2/(1 - p(t)^2).
-
-    The closed form or shipped value of each family: 1/(2k) for k plain
-    sweeps, 3/(4k(k+1)) for cheb4, the beta table's ``gamma_value`` for
-    opt_cheb4 and Lambda_k at a*_k for opt_cheb1.
-    """
-    k = config.degree
-    if config.family == "l1_jacobi":
-        return 1.0 / (2.0 * k)
-    if config.family == "cheb4":
-        return gamma_cheb4(k)
-    if config.family == "opt_cheb4":
-        return load_beta_tables()[k].gamma_value
-    return lambda_of(k, solve_a_star(k))
-
-
-def error_polynomial(config, t):
-    """The family's error polynomial p(t) at a float, array or numpy ``Polynomial``.
-
-    On numbers its closed form does not cancel near t = 1 as the monomial
-    coefficients do.
-    """
-    k = config.degree
-    if config.family == "l1_jacobi":
-        return (1.0 - t) ** k
-    if config.family == "opt_cheb1":
-        return scaled_cheb_eval(solve_a_star(k), k, t)
-    W = fourth_kind_basis(1.0 - 2.0 * t, k)
-    if config.family == "cheb4":
-        return W[k] / (2 * k + 1)
-    ext = np.concatenate(([1.0], load_beta_tables()[k].beta, [0.0]))
-    return sum(float((ext[j] - ext[j + 1]) / (2 * j + 1)) * W[j] for j in range(k + 1))
-
-
-def error_polynomial_coeffs(config):
-    """Monomial coefficients (ascending) of the family's error polynomial."""
-    poly = error_polynomial(config, npoly.Polynomial([0.0, 1.0]))
-    return np.asarray(poly.coef, dtype=np.float64)
-
-
-def smoother_error_oracle(A, M, config, e0):
-    """Evaluate p(M^-1 A) e0 by Horner on the monomial coefficients.
-
-    Brute-force reference for smoother_apply; desk-scale sizes only.
-    """
-    coef = error_polynomial_coeffs(config)
-    out = coef[-1] * np.asarray(e0, dtype=np.float64)
-    for c in coef[-2::-1]:
-        out = A.matvec(out) / M
-        out += c * e0
-    return out
 
 
 def as_preconditioner(config, A, M):

@@ -13,12 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from amgpoly.amg import (
-    as_vcycle_preconditioner,
-    build_hierarchy,
-    two_level_constants,
-)
-from amgpoly.chebyshev import coefficient_roots, smoothing_objective
+from amgpoly.amg import as_vcycle_preconditioner, build_hierarchy
 from amgpoly.cli import main as cli_main
 from amgpoly.krylov import KrylovConfig, solve
 from amgpoly.optimize import gamma_cheb4, lambda_of, optimize_beta, solve_a_star, theorem_bounds
@@ -28,10 +23,15 @@ from amgpoly.smoothers import (
     PolySmootherConfig,
     l1_jacobi_diag,
     smoother_apply,
-    smoother_error_oracle,
 )
 
 from conftest import linear_interp_1d, poisson2d_5pt, random_spd, tridiag
+from oracles import (
+    coefficient_roots,
+    smoother_error_oracle,
+    smoothing_objective,
+    two_level_constants,
+)
 
 A_STAR_REF = [
     0.3333333333333333, 0.1805359927403007, 0.1159278464862213,

@@ -19,17 +19,11 @@ from amgpoly.amg import (
     sa_aggregate,
     smooth_prolongator,
     strength_graph,
-    two_level_constants,
     vcycle_apply,
 )
 from amgpoly.krylov import solve
 from amgpoly.problems import MAX_DENSE_N, aniso2d_q1, poisson3d
-from amgpoly.smoothers import (
-    FAMILIES,
-    PolySmootherConfig,
-    smoother_apply,
-    smoothing_constant,
-)
+from amgpoly.smoothers import FAMILIES, PolySmootherConfig, smoother_apply
 from amgpoly.sparse import CsrMatrix, spmv, spmv_count
 
 from conftest import (
@@ -41,6 +35,7 @@ from conftest import (
     traced_peak,
     tridiag,
 )
+from oracles import smoothing_constant, two_level_constants
 
 
 class TestSaAggregate:

@@ -1,42 +1,17 @@
+"""Chebyshev polynomials: the runtime fourth-kind recurrence and the oracles
+of the scaled first-kind family (``tests/oracles.py``)."""
+
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
-from amgpoly.chebyshev import (
-    c1_coefficient,
-    cheb1_eval,
-    coefficient_roots,
-    fourth_kind_basis,
-    scaled_cheb_eval,
-    smoothing_limit_at_zero,
-    smoothing_objective,
-)
+from amgpoly.optimize import fourth_kind_basis
 
-
-class TestCheb1:
-    def test_degree_zero(self):
-        assert cheb1_eval(0, 0.37) == 1.0
-
-    def test_k2_half(self):
-        assert cheb1_eval(2, 0.5) == pytest.approx(-0.5, abs=1e-15)
-
-    def test_k3_closed_form(self):
-        assert cheb1_eval(3, 2.0) == pytest.approx(26.0, rel=1e-13)
-
-    @given(st.integers(0, 20), st.floats(-1.0, 1.0))
-    @settings(max_examples=100, deadline=None)
-    def test_cosine_identity_inside(self, k, x):
-        expected = math.cos(k * math.acos(x))
-        assert cheb1_eval(k, x) == pytest.approx(expected, abs=1e-10)
-
-    @given(st.integers(1, 15), st.floats(1.0 + 1e-9, 1e3))
-    @settings(max_examples=60, deadline=None)
-    def test_cosh_identity_outside(self, k, x):
-        expected = math.cosh(k * math.acosh(x))
-        assert cheb1_eval(k, x) == pytest.approx(expected, rel=1e-13)
+from oracles import coefficient_roots, scaled_cheb_eval, slope_at_zero, smoothing_objective
 
 
 class TestCheb4:
@@ -94,32 +69,9 @@ class TestScaledCheb:
     def test_matches_direct_first_kind_map(self, a, k, x):
         # tau_k^{[a,1]}(x) = T_k((theta - x)/delta) / T_k(theta/delta)
         theta, delta = (1.0 + a) / 2.0, (1.0 - a) / 2.0
-        direct = cheb1_eval(k, (theta - x) / delta) / cheb1_eval(k, theta / delta)
+        tk = [0.0] * k + [1.0]
+        direct = chebval((theta - x) / delta, tk) / chebval(theta / delta, tk)
         assert scaled_cheb_eval(a, k, x) == pytest.approx(direct, abs=1e-10, rel=1e-10)
-
-
-class TestC1:
-    def test_k1_closed_form(self):
-        a = 1.0 / 3.0
-        assert c1_coefficient(a, 1) == pytest.approx(-2.0 / (1.0 + a))
-        assert smoothing_limit_at_zero(a, 1) == pytest.approx(1.0 / 3.0)
-
-    def test_small_a_limit_k2(self):
-        # as a -> 0 the slope approaches d/dx tau_2(1-2x) at 0, which is -8
-        assert c1_coefficient(1e-12, 2) == pytest.approx(-8.0, rel=1e-9)
-
-    def test_equioscillation_branch_value_k3(self):
-        a = 0.1159278464862213
-        assert smoothing_limit_at_zero(a, 3) == pytest.approx(
-            0.0583799108887474, rel=1e-12
-        )
-
-    @given(st.floats(0.01, 0.9), st.integers(1, 10))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_central_difference(self, a, k):
-        h = 1e-6
-        fd = (scaled_cheb_eval(a, k, h) - scaled_cheb_eval(a, k, -h)) / (2.0 * h)
-        assert c1_coefficient(a, k) == pytest.approx(fd, rel=1e-7)
 
 
 class TestSmoothingObjective:
@@ -139,7 +91,7 @@ class TestSmoothingObjective:
     def test_equioscillation_at_optimum_k4(self):
         a = 0.0820780659590383
         assert smoothing_objective(a, 4, 1.0) == pytest.approx(
-            smoothing_limit_at_zero(a, 4), rel=1e-9
+            1.0 / (2.0 * abs(slope_at_zero(a, 4))), rel=1e-9
         )
 
     def test_domain_check(self):

@@ -210,7 +210,7 @@ class TestOptimizeCommand:
 class TestBoundsCommand:
     def test_k4_row_and_crossover(self, tmp_path):
         out = tmp_path / "b.csv"
-        main(["bounds", "--kmax", "6", "-o", str(out)])
+        main(["bounds", "--kmax", "12", "-o", str(out)])
         rows = {int(r["k"]): r for r in csv.DictReader(out.open())}
         assert float(rows[4]["gamma_cheb4"]) == pytest.approx(0.0375)
         assert float(rows[4]["lambda_1st"]) == pytest.approx(
@@ -221,8 +221,10 @@ class TestBoundsCommand:
         )
         assert rows[1]["crossover"] == "1"
         # strict crossover holds through k=4; at k=5 the two series are within
-        # one part in a hundred of each other and the first kind is above
-        assert [rows[k]["crossover"] for k in range(1, 5)] == ["1"] * 4
+        # one part in a hundred of each other and the first kind is above, and
+        # it stays above through the CLI's last degree, so a change to
+        # Lambda_k's last digits must flip no cell of the column
+        assert [rows[k]["crossover"] for k in range(1, 13)] == ["1"] * 4 + ["0"] * 8
 
     def test_columns_match_optimize(self, tmp_path):
         b, o = tmp_path / "b.csv", tmp_path / "o.csv"

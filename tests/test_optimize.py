@@ -6,13 +6,14 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
 from amgpoly import optimize
-from amgpoly.chebyshev import fourth_kind_basis, scaled_cheb_eval
 from amgpoly.optimize import (
     _beta_basis,
     _beta_objective,
     brent_root,
+    fourth_kind_basis,
     gamma_cheb4,
     lambda_of,
     load_beta_tables,
@@ -24,6 +25,7 @@ from amgpoly.optimize import (
 )
 
 from conftest import evaluate_gamma_numeric
+from oracles import scaled_cheb_eval, slope_at_zero
 
 A_STAR_REFERENCE = {
     1: 0.3333333333333333,
@@ -88,13 +90,41 @@ class TestLambdaOf:
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_equioscillation_at_optimum(self, k):
-        from amgpoly.chebyshev import cheb1_eval, smoothing_limit_at_zero
-
         a = solve_a_star(k)
-        left = smoothing_limit_at_zero(a, k)
-        y = (1.0 + a) / (1.0 - a)
-        right = 1.0 / (cheb1_eval(k, y) ** 2 - 1.0)
-        assert abs(left - right) <= 1e-9 * max(left, right)
+        left = 1.0 / (2.0 * abs(slope_at_zero(a, k)))
+        right = 1.0 / (chebval((1.0 + a) / (1.0 - a), [0.0] * k + [1.0]) ** 2 - 1.0)
+        assert abs(left - right) <= 1e-12 * max(left, right)
+
+    @given(st.integers(1, 12), st.floats(0.01, 1.0, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_value_at_one_below_optimum(self, k, frac):
+        # below a*_k the maximum is the value at x = 1, 1/(T_k(y)^2 - 1)
+        a = frac * solve_a_star(k)
+        tk = chebval((1.0 + a) / (1.0 - a), [0.0] * k + [1.0])
+        assert lambda_of(k, a) == pytest.approx(1.0 / (tk * tk - 1.0), rel=1e-12)
+
+    @given(st.integers(1, 10), st.floats(0.0, 1.0, exclude_min=True))
+    @settings(max_examples=100, deadline=None)
+    def test_limit_at_zero_above_optimum(self, k, frac):
+        # above a*_k the maximum is the x -> 0+ limit 1/(2|tau'(0)|)
+        a_star = solve_a_star(k)
+        a = a_star + frac * (0.9 - a_star)
+        h = 1e-6
+        fd = (scaled_cheb_eval(a, k, h) - scaled_cheb_eval(a, k, -h)) / (2.0 * h)
+        assert lambda_of(k, a) == pytest.approx(1.0 / (2.0 * abs(fd)), rel=1e-7)
+
+    @pytest.mark.parametrize("k,a,want", [
+        (30, 1.0 - 1e-12, 0.016666666666658333),
+        (2, 1e-300, 6.25e298),
+        (2, 5e-324, math.inf),
+    ])
+    def test_defined_on_the_whole_interval(self, k, a, want):
+        assert lambda_of(k, a) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("k,a", [(2, 0.0), (2, 1.0), (2, math.nan), (0, 0.5)])
+    def test_rejects_bad_arguments(self, k, a):
+        with pytest.raises(ValueError):
+            lambda_of(k, a)
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16])
     def test_local_optimality(self, k):

@@ -6,25 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amgpoly.chebyshev import fourth_kind_basis, scaled_cheb_eval
 from amgpoly.amg import build_hierarchy
-from amgpoly.optimize import load_beta_tables, solve_a_star
+from amgpoly.optimize import fourth_kind_basis, load_beta_tables, solve_a_star
 from amgpoly.problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
 from amgpoly.smoothers import (
     FAMILIES,
     PolySmootherConfig,
     as_preconditioner,
-    error_polynomial,
-    error_polynomial_coeffs,
     l1_jacobi_diag,
     smoother_apply,
-    smoother_error_oracle,
-    smoothing_constant,
     step_coefficients,
 )
 from amgpoly.sparse import CsrMatrix, spmv_count
 
 from conftest import evaluate_gamma_numeric, random_spd, tridiag
+from oracles import (
+    error_polynomial,
+    error_polynomial_coeffs,
+    scaled_cheb_eval,
+    smoother_error_oracle,
+    smoothing_constant,
+)
 
 
 class TestL1Diag:

@@ -1,3 +1,4 @@
+import ast
 import os
 import pkgutil
 import subprocess
@@ -197,10 +198,32 @@ def test_import_leaves_scipy_linalg_unloaded():
     # no amgpoly code uses it: the dense algebra is numpy.linalg.  The
     # package root imports nothing, so import every submodule.
     names = sorted(m.name for m in pkgutil.iter_modules(amgpoly.__path__))
-    assert names == ["amg", "chebyshev", "cli", "krylov", "optimize", "problems",
-                     "smoothers", "sparse"]
+    assert names == ["amg", "cli", "krylov", "optimize", "problems", "smoothers", "sparse"]
     run = "import " + ", ".join(f"amgpoly.{name}" for name in names)
     assert not loaded_by_import_amgpoly("scipy.linalg", run)
+
+
+def test_no_submodule_uses_numpy_polynomial():
+    # polynomial algebra is for the oracles in tests/oracles.py.  scipy.sparse
+    # loads numpy.polynomial itself (through its array-API layer), so
+    # sys.modules cannot tell; read every submodule's imports and attributes.
+    def dotted(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [f"{node.module}.{a.name}" for a in node.names]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return [f"{node.value.id}.{node.attr}"]
+        return []
+
+    pkg = os.path.dirname(amgpoly.__file__)
+    for m in pkgutil.iter_modules(amgpoly.__path__):
+        with open(os.path.join(pkg, m.name + ".py"), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            for name in dotted(node):
+                name = "numpy" + name[2:] if name.startswith("np.") else name
+                assert not (name + ".").startswith("numpy.polynomial."), (m.name, name)
 
 
 @pytest.mark.parametrize("argv", [
