@@ -284,8 +284,9 @@ def build_hierarchy(
     ``coarsening`` is one of ``COARSENINGS``: ``sa_aggregate`` or
     ``matching_aggregate`` at their default strength threshold and sweep
     count.  Stops early, with ``stagnated`` set, when a coarsening does not
-    shrink the problem at all (it is dropped) or when two successive ones
-    each keep at least 95% of their fine size (both are kept).
+    shrink the problem at all (it is dropped before its prolongator is
+    smoothed) or when two successive ones each keep at least 95% of their
+    fine size (both are kept).
     Raises ``ValueError`` for an unknown ``coarsening`` and unless ``A`` is
     square and symmetric with a positive diagonal and ``max_levels`` and
     ``coarse_sweeps`` are at least 1.  Only the fine level is checked: the
@@ -316,15 +317,16 @@ def build_hierarchy(
             P_hat = sa_aggregate(Al)
         else:
             P_hat = matching_aggregate(Al)
-        lam = estimate_lambda_max(Al)
-        P = smooth_prolongator(Al, P_hat, 4.0 / (3.0 * lam))
-        if P.ncols >= 0.95 * Al.nrows:
+        # smoothing keeps P_hat's columns, so the stall rules read P_hat
+        if P_hat.ncols >= Al.nrows:
+            stagnated = 2  # no progress at all: drop this coarsening and stop
+            break
+        if P_hat.ncols >= 0.95 * Al.nrows:
             stagnated += 1
         else:
             stagnated = 0
-        if P.ncols >= Al.nrows:
-            stagnated = 2  # no progress at all: drop this coarsening and stop
-            break
+        lam = estimate_lambda_max(Al)
+        P = smooth_prolongator(Al, P_hat, 4.0 / (3.0 * lam))
         R = P.transpose()
         levels.append(Level(A=Al, M=Ml, P=P, R=R))
         Al = galerkin_rap(Al, P, R)

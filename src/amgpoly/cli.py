@@ -191,6 +191,8 @@ def run_solve(cfg):
         hierarchy = build_hierarchy(A, coarsening=v["coarsening"], smoother=smoother)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:  # a problem too large for this machine
+        raise ConfigError(f"out of memory: {exc}") from exc
     summary = hierarchy.summary()
     precond = as_vcycle_preconditioner(hierarchy)
     del hierarchy  # frees the float64 levels the solve does not read

@@ -3,8 +3,8 @@
 Solves for the optimal left endpoint a*_k of the scaled first-kind family,
 evaluates the attained smoothing constant Lambda_k, checks the analytic
 sandwich bounds, and numerically optimizes the fourth-kind coefficient
-tables beta_{j,k}.  a*_k is solved on first use (about 50 us per degree);
-the beta tables for k = 1..12 ship as a CSV data asset (regenerated by
+tables beta_{j,k}.  a*_k is solved on first use, by bisection to adjacent
+floats; the beta tables for k = 1..12 ship as a CSV data asset (regenerated by
 scripts/regenerate_tables.py).
 """
 
@@ -19,9 +19,6 @@ from importlib import resources
 
 import numpy as np
 
-# brent_root's absolute root tolerance and its cap on the number of steps
-_BRENT_XTOL = 1e-15
-_BRENT_MAXITER = 200
 # optimize_beta's full grid on [1e-8, 1] and its cap on the number of levels
 BETA_GRID_SIZE = 20001
 BETA_MAX_ROUNDS = 60
@@ -39,95 +36,57 @@ class BetaTable:
     gamma_value: float
 
 
-def phi(k, x):
-    """Sign-stable evaluation of 8k(1-x^2)^{2k} + x[(1-x)^{4k} - (1+x)^{4k}].
+def _branches(k, s):
+    """The two branch values of the smoothing objective at s = sqrt(a).
 
-    The expression is divided through by (1+x)^{4k} (positive, so the sign
-    and root are unchanged), which keeps it in range for large k.
+    With y = (1+a)/(1-a), acosh(y) = 2 atanh(s), so with u = 2k atanh(s),
+    T_k(y) = cosh(u).  The left branch, the x -> 0+ limit 1/(2|tau'(0)|),
+    is then s/(2k tanh u), and the right branch, the value 1/(T_k(y)^2 - 1)
+    at x = 1, is 1/sinh(u)^2.  1/sinh(u) is evaluated as
+    2 e^-u / -expm1(-2u) and squared by a product, so every s in (0, 1)
+    gives a defined pair (the right branch is ``inf`` where 1/sinh(u)^2
+    overflows).  The left branch rises and the right falls with s; they are
+    equal at s = sqrt(a*_k).
     """
-    t = (1.0 - x) / (1.0 + x)
-    return 8.0 * k * t ** (2 * k) + x * (t ** (4 * k) - 1.0)
-
-
-def brent_root(f, a, b):
-    """Bracketed root via bisection + secant + inverse quadratic interpolation."""
-    fa, fb = f(a), f(b)
-    if fa * fb > 0.0:
-        raise ValueError("root is not bracketed")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(_BRENT_MAXITER):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * _BRENT_XTOL
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b = b + (d if abs(d) > tol else (tol if m > 0 else -tol))
-        fb = f(b)
-    return b
+    u = 2.0 * k * math.atanh(s)
+    inv_sinh = 2.0 * math.exp(-u) / -math.expm1(-2.0 * u)
+    return s / (2.0 * k * math.tanh(u)), inv_sinh * inv_sinh
 
 
 @functools.cache
 def solve_a_star(k):
-    """Optimal interval endpoint a*_k: square of the unique (0,1) root of phi.
+    """Optimal interval endpoint a*_k, where the two branches of
+    ``_branches`` cross.
 
-    Cached: each degree is solved once per process (an error is not cached).
+    Bisects s = sqrt(a) on (0, 1), moving the lower end while the left
+    branch is below the right, until the midpoint rounds to an endpoint:
+    the ends are then adjacent floats, and the upper one, where
+    left >= right, is squared.  Cached: each degree is solved once per
+    process (an error is not cached).
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
-    x = brent_root(lambda x: phi(k, x), 1e-8, 1.0 - 1e-8)
-    return x * x
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        left, right = _branches(k, mid)
+        if left < right:
+            lo = mid
+        else:
+            hi = mid
+    return hi * hi
 
 
 def lambda_of(k, a):
-    """max of the two branch values of the smoothing objective at endpoint a.
-
-    With y = (1+a)/(1-a), acosh(y) = 2 atanh(sqrt(a)), so with s = sqrt(a)
-    and u = 2k atanh(s), T_k(y) = cosh(u).  The left branch, the x -> 0+
-    limit 1/(2|tau'(0)|), is then s/(2k tanh u), and the right branch, the
-    value 1/(T_k(y)^2 - 1) at x = 1, is 1/sinh(u)^2.  1/sinh(u) is
-    evaluated as 2 e^-u / -expm1(-2u) and squared by a product, so every a
-    in (0, 1) gives a defined result (``inf`` where 1/sinh(u)^2 overflows,
-    a below about 1.4e-309/k^2).  At a = a*_k the branches equi-oscillate and
-    the value is Lambda_k.
+    """max of the two branch values of the smoothing objective at endpoint a
+    (``_branches`` at s = sqrt(a)): ``inf`` where the right branch
+    overflows, a below about 1.4e-309/k^2.  At a = a*_k the branches
+    equi-oscillate and the value is Lambda_k.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    s = math.sqrt(a)
-    u = 2.0 * k * math.atanh(s)
-    inv_sinh = 2.0 * math.exp(-u) / -math.expm1(-2.0 * u)
-    return max(s / (2.0 * k * math.tanh(u)), inv_sinh * inv_sinh)
+    return max(_branches(k, math.sqrt(a)))
 
 
 def theorem_bounds(k):

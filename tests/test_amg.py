@@ -283,9 +283,16 @@ class TestBuildHierarchy:
             h.levels[0].P = None
         assert h.levels[0].P is not None
 
-    def test_coarsening_without_progress_stops_stagnated(self):
-        # every row is isolated: the first coarsening keeps all 300 rows
+    def test_coarsening_without_progress_stops_stagnated(self, monkeypatch):
+        # every row is isolated: the first coarsening keeps all 300 rows, and
+        # it is dropped before lambda_max is estimated or P is smoothed
+        def no_smoothing(*args):
+            raise AssertionError("a dropped coarsening must not be smoothed")
+
+        monkeypatch.setattr(amg, "smooth_prolongator", no_smoothing)
+        before = spmv_count()
         h = build_hierarchy(CsrMatrix.identity(300))
+        assert spmv_count() == before
         assert [l.A.nrows for l in h.levels] == [300]
         assert h.stagnated
 

@@ -156,6 +156,14 @@ class TestExitCodes:
         assert main(args) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, m", [("poisson3d", 100000), ("aniso2d", 1000000)])
+    def test_oversize_problem_is_2(self, problem, m, capsys):
+        # the first array of either problem is petabytes or terabytes long,
+        # so its allocation fails at once, before anything large exists
+        args = ["solve", "--override", f"problem={problem}", "--override", f"m={m}"]
+        assert main(args) == EXIT_CONFIG
+        assert "out of memory" in capsys.readouterr().err
+
     def test_nan_tol_is_2(self, capsys):
         assert main(["solve", "--override", "m=6", "--override", "tol=nan"]) == EXIT_CONFIG
         assert "tol must be finite and positive" in capsys.readouterr().err

@@ -12,14 +12,13 @@ from amgpoly import optimize
 from amgpoly.optimize import (
     _beta_basis,
     _beta_objective,
-    brent_root,
+    _branches,
     fourth_kind_basis,
     gamma_cheb4,
     lambda_of,
     load_beta_tables,
     optimize_beta,
     params_csv_rows,
-    phi,
     solve_a_star,
     theorem_bounds,
 )
@@ -27,47 +26,61 @@ from amgpoly.optimize import (
 from conftest import evaluate_gamma_numeric
 from oracles import scaled_cheb_eval, slope_at_zero
 
-A_STAR_REFERENCE = {
-    1: 0.3333333333333333,
-    4: 0.0820780659590383,
-    8: 0.0328701017544880,
+# (a*_k, Lambda_k) to 20 digits of a 60-digit mpmath root of
+# s sinh(4k atanh s) = 4k (where the two branches are equal), a = s^2
+REFERENCE = {
+    1: (0.33333333333333333333, 0.33333333333333333333),
+    2: (0.18053599274030067267, 0.11201528448347225857),
+    3: (0.11592784648622128748, 0.058379910888747432788),
+    4: (0.082078065959038356528, 0.036458562579490828621),
+    5: (0.061849600241337648248, 0.025180750503862751427),
+    6: (0.048660582342606195238, 0.018552356622483440742),
+    7: (0.039513298602405734882, 0.014299694355122150891),
+    8: (0.032870101754487935378, 0.011395702254433434324),
+    9: (0.027870286272179953299, 0.0093177739518963523287),
+    10: (0.023998740960061953236, 0.0077758200292147869833),
+    11: (0.020930440043225840548, 0.0065977289816327851419),
+    12: (0.018451309904506567244, 0.0056758560421586349961),
+    13: (0.016415258604259164475, 0.0049399274109782905654),
+    14: (0.014719563807687527261, 0.00434240512759292857),
+    15: (0.013290132475784377859, 0.00385015172894580551),
+    16: (0.01207233177376968259, 0.0034394673581608470467),
+    17: (0.011025096460638379894, 0.0030930211260038339179),
+    18: (0.01011703300648586538, 0.0027978909828815134156),
+    19: (0.0093237789039835797424, 0.0025442756845434757542),
+    20: (0.0086261728849516296611, 0.0023246270560875023676),
+    21: (0.0080089618703678200375, 0.0021330523578478980552),
+    22: (0.0074598709610600079489, 0.0019648944859976979426),
+    23: (0.0069689238144320848553, 0.0018164318235682232142),
+    24: (0.0065279387776372477197, 0.0016846601794438835445),
+    25: (0.0061301503808627551082, 0.0015671320475289600805),
+    26: (0.0057699215598863052134, 0.0014618365386889612369),
+    27: (0.0054425224281913855283, 0.0013671085990535430761),
+    28: (0.0051439584672522359578, 0.0012815596012966304857),
+    29: (0.0048708358327268340405, 0.0012040237279755306837),
+    30: (0.00462025483149125172, 0.0011335161574344932306),
+    1000: (0.000013322773443019426712, 1.8250203942252719293e-6),
+    10000: (2.2431783307157226293e-7, 2.3681102084978317547e-8),
+    1000000: (4.8207690790343040089e-11, 3.4715879216329232026e-12),
 }
 
 
-class TestPhi:
-    def test_root_at_k1(self):
-        assert abs(phi(1, 1.0 / math.sqrt(3.0))) <= 1e-12
-
-    def test_sign_change_around_root(self):
-        assert phi(1, 0.1) > 0.0
-        assert phi(1, 0.9) < 0.0
-
-    def test_no_underflow_large_k(self):
-        # the scaled form stays finite and sign-definite for large degrees
-        assert math.isfinite(phi(50, 0.5))
-        assert phi(50, 0.001) > 0.0
-        assert phi(50, 0.999) < 0.0
-
-
-class TestBrentRoot:
-    def test_linear(self):
-        assert brent_root(lambda x: x - 0.25, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
-
-    def test_requires_bracket(self):
-        with pytest.raises(ValueError):
-            brent_root(lambda x: x + 2.0, 0.0, 1.0)
-
-    @given(st.floats(0.05, 0.95), st.integers(1, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_polynomial_roots(self, r, p):
-        root = brent_root(lambda x: (x - r) ** (2 * p - 1), 0.0, 1.0)
-        assert root == pytest.approx(r, abs=1e-6)
-
-
 class TestSolveAStar:
-    @pytest.mark.parametrize("k,expected", sorted(A_STAR_REFERENCE.items()))
-    def test_reference_values(self, k, expected):
-        assert solve_a_star(k) == pytest.approx(expected, abs=1e-12)
+    @pytest.mark.parametrize("k", sorted(REFERENCE))
+    def test_reference_values(self, k):
+        a_star, lam = REFERENCE[k]
+        a = solve_a_star(k)
+        assert a == pytest.approx(a_star, rel=1e-15, abs=0.0)
+        assert lambda_of(k, a) == pytest.approx(lam, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("k", sorted(REFERENCE))
+    def test_branches_cross_at_the_root(self, k):
+        # the bisection's two ends are adjacent floats around the crossing
+        s = math.sqrt(solve_a_star(k))
+        left, right = _branches(k, math.nextafter(s, 0.0))
+        assert left < right
+        left, right = _branches(k, s)
+        assert left >= right
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
@@ -77,16 +90,6 @@ class TestSolveAStar:
 class TestLambdaOf:
     def test_k1_analytic(self):
         assert lambda_of(1, 1.0 / 3.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_k2_reference(self):
-        assert lambda_of(2, solve_a_star(2)) == pytest.approx(
-            0.112015284483472, rel=1e-9
-        )
-
-    def test_k15_reference(self):
-        assert lambda_of(15, solve_a_star(15)) == pytest.approx(
-            0.0038501517289458, rel=1e-9
-        )
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_equioscillation_at_optimum(self, k):
@@ -325,7 +328,7 @@ class TestDataAssets:
         )
 
     def test_solve_a_star_is_cached(self):
-        assert solve_a_star(4) == pytest.approx(A_STAR_REFERENCE[4], abs=1e-12)
+        assert solve_a_star(4) == pytest.approx(REFERENCE[4][0], rel=1e-15, abs=0.0)
         hits = solve_a_star.cache_info().hits
         assert solve_a_star(4) == solve_a_star(4)
         assert solve_a_star.cache_info().hits == hits + 2
