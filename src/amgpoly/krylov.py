@@ -51,10 +51,12 @@ def solve(A, b, precond=None, cfg=None):
     preconditioning; with a fixed preconditioner both variants coincide up
     to roundoff.  A curvature d'Ad that is not finite and positive, or a
     non-finite residual norm or r'z, ends the solve with ``breakdown`` set.
+    So does a NaN or +-inf in b, at iteration 0 and before any SpMV or
+    preconditioner call, with ``final_relres`` NaN.
     """
     cfg = cfg or KrylovConfig()
     b = np.asarray(b, dtype=np.float64)
-    bmax = float(np.max(np.abs(b), initial=0.0))
+    bmax = float(np.max(np.abs(b), initial=0.0))  # NaN if b holds one
     p = int(np.frexp(bmax)[1]) if math.isfinite(bmax) else 0  # 2^p > max|b| >= 2^(p-1)
     b = np.ldexp(b, -p)
     x = np.zeros(len(b))
@@ -74,6 +76,9 @@ def solve(A, b, precond=None, cfg=None):
             breakdown=breakdown,
         )
 
+    if not math.isfinite(bmax):
+        relres = math.nan
+        return report(0, False, breakdown=True)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return report(0, True)

@@ -445,9 +445,11 @@ class TestVcycle:
             coarse_sweeps=sweeps,
         )
         assert len(h.levels) == 3
-        before = spmv_count()
-        vcycle_apply(h, np.ones(A.nrows))
-        assert spmv_count() - before == 2 * (2 * k + 2) + sweeps - 1
+        precond = as_vcycle_preconditioner(h)  # its fine level multiplies in DIA form
+        for cycle in (lambda r: vcycle_apply(h, r), precond):
+            before = spmv_count()
+            cycle(np.ones(A.nrows))
+            assert spmv_count() - before == 2 * (2 * k + 2) + sweeps - 1
 
     def test_every_smoothing_is_one_smoother_apply_call(self, monkeypatch):
         # pre and post on each of two levels, plus the l1-Jacobi coarse solve

@@ -8,7 +8,7 @@ from amgpoly.amg import as_vcycle_preconditioner, build_hierarchy
 from amgpoly.krylov import KrylovConfig, solve
 from amgpoly.problems import poisson3d
 from amgpoly.smoothers import PolySmootherConfig
-from amgpoly.sparse import CsrMatrix
+from amgpoly.sparse import CsrMatrix, spmv_count
 
 from conftest import random_spd, tridiag
 
@@ -101,6 +101,28 @@ class TestSolve:
         assert rep.breakdown
         assert not rep.converged
         assert rep.iterations == rep.spmv_count == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["pcg", "fcg"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rhs_ends_before_any_work(self, variant, bad):
+        A, b = poisson3d(8)
+        precond = as_vcycle_preconditioner(build_hierarchy(A))
+        calls = []
+
+        def counting(r):
+            calls.append(None)
+            return precond(r)
+
+        b = b.copy()
+        b[3] = bad
+        before = spmv_count()
+        x, rep = solve(A, b, precond=counting, cfg=KrylovConfig(variant=variant))
+        assert rep.breakdown and not rep.converged
+        assert rep.iterations == rep.spmv_count == rep.precond_count == 0
+        assert calls == [] and spmv_count() == before
+        assert math.isnan(rep.final_relres) and rep.residual_history == []
+        assert not x.any()
 
     def test_a_norm_error_monotone(self):
         A = random_spd(25, seed=6)

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import pkgutil
 import subprocess
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amgpoly
-from amgpoly.problems import poisson3d
-from amgpoly.sparse import CsrMatrix, spmv
+from amgpoly import sparse
+from amgpoly.amg import build_hierarchy
+from amgpoly.problems import aniso2d_q1, poisson3d
+from amgpoly.sparse import CsrMatrix, spmv, spmv_count
 
 from conftest import random_spd, tridiag
 
@@ -123,6 +126,7 @@ class TestFloat32:
 
         monkeypatch.setattr(CsrMatrix, "__init__", checked_constructor)
         T = A.float32_twin()
+        assert T._dia is not None  # a 7-point stencil: the DIA form is built here too
         assert T.dtype == np.float32
         assert (T.nrows, T.ncols, T.nnz) == (A.nrows, A.ncols, A.nnz)
         assert np.shares_memory(T.row_ptr, A.row_ptr)
@@ -153,6 +157,107 @@ class TestFloat32:
             y = spmv(A, v)
             assert y.dtype == np.float64
             assert y.tobytes() == A.to_scipy().dot(np.asarray(v, dtype=np.float64)).tobytes()
+
+
+# The hierarchies of perfbench's smoke workloads (poisson3d m=12 matching,
+# aniso2d m=32 SA) and two larger ones
+DIA_HIERARCHIES = {
+    "poisson3d-m12": (lambda: poisson3d(12)[0], "pairwise_matching"),
+    "poisson3d-m16": (lambda: poisson3d(16)[0], "pairwise_matching"),
+    "aniso2d-m32": (lambda: aniso2d_q1(32, 100.0, math.pi / 6)[0], "smoothed_aggregation"),
+    "aniso2d-m64": (lambda: aniso2d_q1(64, 100.0, math.pi / 6)[0], "smoothed_aggregation"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DIA_HIERARCHIES))
+def hierarchy(request):
+    problem, coarsening = DIA_HIERARCHIES[request.param]
+    return request.param, build_hierarchy(problem(), coarsening=coarsening)
+
+
+def diagonal_fill(A):
+    """Entries the diagonals of A hold, over nnz."""
+    m = A.to_scipy()
+    offsets = np.unique(m.indices - np.repeat(np.arange(A.nrows), np.diff(m.indptr)))
+    return len(offsets) * A.nrows / A.nnz
+
+
+class TestDiaForm:
+    """``float32_twin`` keeps a banded twin's values by diagonals as well."""
+
+    def test_same_bits_as_csr_on_every_level(self, hierarchy, rng):
+        _, h = hierarchy
+        for level in h.levels:
+            for M in (level.A, level.P, level.R):
+                if M is None:
+                    continue
+                T = M.float32_twin(2.0**-3)
+                x = rng.standard_normal(T.ncols).astype(np.float32)
+                signed_zeros = x.copy()
+                signed_zeros[::3] = 0.0
+                signed_zeros[1::3] = -0.0
+                for v in (x, signed_zeros):
+                    y = spmv(T, v)
+                    assert y.dtype == np.float32
+                    assert y.tobytes() == T.to_scipy().dot(v).tobytes()
+
+    def test_levels_0_and_1_get_it_and_no_transfer_does(self, hierarchy):
+        name, h = hierarchy
+        assert len(h.levels) >= 3
+        for i, level in enumerate(h.levels):
+            if i <= 1:
+                assert level.A.float32_twin()._dia is not None, (name, i)
+            for M in (level.P, level.R):
+                if M is not None:
+                    assert M.float32_twin()._dia is None, (name, i)
+        if name == "aniso2d-m64":
+            # an aggregated level whose diagonals would hold more than 2 nnz
+            A2 = h.levels[2].A
+            assert diagonal_fill(A2) > 2.0
+            assert A2.float32_twin()._dia is None
+
+    def test_rule_is_two_nnz_on_the_diagonals(self):
+        # 4x4: the main diagonal and both corners make 3 diagonals of 12
+        # entries over nnz = 6, at the bound; one more entry on a fourth
+        # diagonal makes 16 over nnz = 7, past it
+        a = np.eye(4)
+        a[0, 3] = a[3, 0] = 0.5
+        assert CsrMatrix.from_dense(a).float32_twin()._dia is not None
+        a[1, 3] = 0.25
+        assert CsrMatrix.from_dense(a).float32_twin()._dia is None
+        assert CsrMatrix.from_dense(np.ones((2, 3))).float32_twin()._dia is None
+
+    def test_nothing_else_moves(self):
+        A, _ = poisson3d(6)
+        T = A.float32_twin()
+        assert T._dia is not None and T._dia.format == "dia"
+        m = T.to_scipy()
+        assert m.format == "csr"
+        assert np.shares_memory(m.indptr, A.row_ptr) and np.shares_memory(m.indices, A.col_idx)
+        assert T.row_ptr is m.indptr and T.col_idx is m.indices and T.values is m.data
+        assert T.nnz == A.nnz
+        before = spmv_count()
+        T.matvec(np.ones(T.ncols, np.float32))
+        spmv(T, np.ones(T.ncols, np.float32))
+        assert spmv_count() - before == 2
+
+    def test_float64_matrices_stay_csr(self):
+        A, _ = poisson3d(6)
+        assert A._dia is None
+        assert CsrMatrix.from_scipy(A.to_scipy())._dia is None
+        assert A.transpose()._dia is None
+
+    def test_flat_positions_do_not_overflow(self):
+        # k * n reaches 2**31 at the third diagonal of a 2**30-column matrix,
+        # where a matrix of int32 indices can still qualify; the table is
+        # built from the mask alone, so no such matrix is allocated
+        n = np.int32(2**30)
+        starts = sparse._diagonal_starts(np.array([True, False, True, True]), n)
+        assert starts.dtype == np.intp
+        assert starts[[0, 2, 3]].tolist() == [0, 2**30, 2**31]
+        pos = starts[np.array([3], np.int32)]
+        pos += np.array([2**30 - 1], np.int32)
+        assert pos.tolist() == [2**31 + 2**30 - 1]
 
 
 class TestSpmv:
