@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from .problems import MAX_DENSE_N
 from .smoothers import PolySmootherConfig, l1_jacobi_diag, smoother_apply
 from .sparse import CsrMatrix, spmv
 
@@ -48,16 +49,23 @@ COARSENINGS = ("smoothed_aggregation", "pairwise_matching")
 
 @dataclass(frozen=True)
 class Level:
+    """One level's operators.  ``S`` is set on the coarsest level only, and
+    only when ``coarse_sweep_matrix`` forms it: the coarse solve's
+    l1-Jacobi sweeps as one matrix, which ``vcycle_apply`` multiplies by in
+    their place."""
+
     A: CsrMatrix
     M: np.ndarray  # l1-Jacobi diagonal
     P: CsrMatrix | None = None  # prolongator from the next-coarser level
     R: CsrMatrix | None = None  # restriction P^T to the next-coarser level
+    S: CsrMatrix | None = None  # the coarse sweeps as one matrix (coarsest level)
 
 
 @dataclass(frozen=True)
 class AmgHierarchy:
     """Levels fine to coarse, the one smoother of every level below the
-    coarsest and the ``l1_jacobi`` sweeps that solve the coarsest.
+    coarsest and the ``l1_jacobi`` sweeps that solve the coarsest (run as
+    the coarsest level's ``S`` when it has one).
     ``stagnated``: coarsening stopped on a stall (``build_hierarchy``)."""
 
     levels: tuple
@@ -271,6 +279,33 @@ def galerkin_rap(A, P, R):
     return CsrMatrix._adopt(sp)
 
 
+def coarse_sweep_matrix(A, M, sweeps):
+    """The coarse solve, ``sweeps`` l1-Jacobi sweeps from a zero guess, as
+    one symmetric matrix S; None where S would cost more than the sweeps.
+
+    The sweeps are a fixed linear map, S = sum_{j<s} (I - M^-1 A)^j M^-1
+    with s = ``sweeps``.  S is formed when n <= ``MAX_DENSE_N`` and n^2 <=
+    (s - 1) nnz(A): then one product with S reads no more entries than the
+    s - 1 SpMVs of the sweeps, so the rule is a work count, not a tuned
+    threshold.  ``smoother_apply``'s recurrence runs on the identity in
+    float64, all n columns at once through scipy's sparse-times-dense
+    product (so setup counts no SpMV), and S is symmetrized, as the map is.
+    Nothing is factorized, so ``scipy.linalg`` stays unloaded.
+    """
+    n = A.nrows
+    if n > MAX_DENSE_N or n * n > (sweeps - 1) * A.nnz:
+        return None
+    Asp = A.to_scipy()
+    r = np.eye(n)
+    x = np.zeros((n, n))
+    for j in range(sweeps):
+        d = r / M[:, None]
+        x += d
+        if j < sweeps - 1:
+            r -= Asp @ d
+    return CsrMatrix.from_dense((x + x.T) * 0.5)
+
+
 def build_hierarchy(
     A,
     coarsening="smoothed_aggregation",
@@ -293,7 +328,10 @@ def build_hierarchy(
     coarser ones are its Galerkin products.  Every operator the V-cycle
     reads is built here: each level's smoothed prolongator ``P``, its
     restriction ``R = P^T`` and l1-Jacobi diagonal; the coarsest level is
-    solved by ``coarse_sweeps`` l1-Jacobi sweeps.
+    solved by ``coarse_sweeps`` l1-Jacobi sweeps, which
+    ``coarse_sweep_matrix`` forms into the coarsest level's ``S`` when one
+    product with S costs no more than the sweeps.  S is new storage: every
+    other array is the same with or without it.
     """
     if coarsening not in COARSENINGS:
         raise ValueError(f"unknown coarsening kind {coarsening!r}")
@@ -331,7 +369,7 @@ def build_hierarchy(
         levels.append(Level(A=Al, M=Ml, P=P, R=R))
         Al = galerkin_rap(Al, P, R)
         Ml = l1_jacobi_diag(Al)
-    levels.append(Level(A=Al, M=Ml))
+    levels.append(Level(A=Al, M=Ml, S=coarse_sweep_matrix(Al, Ml, coarse_sweeps)))
     return AmgHierarchy(
         levels=tuple(levels),
         smoother=smoother,
@@ -347,14 +385,19 @@ def vcycle_apply(h, r, _level=0):
     """One symmetric V-cycle applied to a residual; returns the correction.
 
     Every smoothing (pre, post and the l1-Jacobi coarse solve) is one
-    ``smoother_apply`` call.  The pre-smoother starts from a zero guess, so
-    a level with a degree-k smoother costs 2k SpMVs on its operator: k - 1
-    pre-smoothing, one residual and k post-smoothing.
+    ``smoother_apply`` call, except that the coarsest level multiplies by
+    its ``S`` when it has one: one SpMV in place of the ``coarse_sweeps`` - 1
+    of the sweeps, on a matrix of the coarsest level's shape.  The
+    pre-smoother starts from a zero guess, so a level with a degree-k
+    smoother costs 2k SpMVs on its operator: k - 1 pre-smoothing, one
+    residual and k post-smoothing.
     """
     level = h.levels[_level]
     if len(r) != level.A.nrows:
         raise ValueError("dimension mismatch")
     if _level == len(h.levels) - 1:
+        if level.S is not None:
+            return spmv(level.S, r)
         return smoother_apply(h.coarse_smoother, level.A, level.M, r)
     x = smoother_apply(h.smoother, level.A, level.M, r)
     rc = spmv(level.R, r - spmv(level.A, x))
@@ -366,9 +409,11 @@ def as_vcycle_preconditioner(h):
     """The V-cycle as the preconditioner r -> z of the float64 Krylov loop, run in float32.
 
     This is the only code that makes float32 operands.  Once, every level's
-    A, M, P and R is copied to float32 (``CsrMatrix.float32_twin``), with A
-    and M scaled by 2^-q, q the binary exponent of max |a_ij| on the finest
-    level.  Each application scales r by 2^-p, p the exponent of max |r_i|,
+    A, M, P and R and the coarsest level's S is copied to float32
+    (``CsrMatrix.float32_twin``, which also stores 0.0 for entries below
+    float32's resolution), with A and M scaled by 2^-q, q the binary
+    exponent of max |a_ij| on the finest level, and S, which inverts them,
+    by 2^q.  Each application scales r by 2^-p, p the exponent of max |r_i|,
     as it casts r to float32, runs ``vcycle_apply`` on the float32 levels and
     scales the correction by 2^(p-q) as it casts it back to float64.
     ``vcycle_apply``, ``smoother_apply`` and ``spmv`` add no cast of their
@@ -377,13 +422,14 @@ def as_vcycle_preconditioner(h):
     outer loop sets the accuracy; its time goes to memory traffic, which
     float32 halves.
 
-    The V-cycle is linear in r, and scaling every A and M by s scales its
-    correction by 1/s, so the scalings cancel.  A power of two is exact: in
-    float32's range the result has the bits of plain casts, and beyond it
-    (|a_ij| or |r_i| over 3.4e38) nothing overflows.
+    The V-cycle is linear in r, and scaling every A and M by s (and S,
+    their inverse, by 1/s) scales its correction by 1/s, so the scalings
+    cancel.  A power of two is exact: in float32's range the result has the
+    bits of plain casts, and beyond it (|a_ij| or |r_i| over 3.4e38)
+    nothing overflows.
 
     The returned callable holds the float32 levels and not ``h``: a caller
-    that drops its last reference to ``h`` frees the float64 P, R, M and
+    that drops its last reference to ``h`` frees the float64 P, R, M, S and
     coarse A, and keeps only the fine float64 A that the Krylov loop reads.
     """
     q = int(np.frexp(np.max(np.abs(h.levels[0].A.values)))[1])
@@ -394,6 +440,7 @@ def as_vcycle_preconditioner(h):
             M=np.multiply(l.M, scale, out=np.empty(len(l.M), np.float32)),
             P=None if l.P is None else l.P.float32_twin(),
             R=None if l.R is None else l.R.float32_twin(),
+            S=None if l.S is None else l.S.float32_twin(np.ldexp(1.0, q)),
         )
         for l in h.levels
     ))

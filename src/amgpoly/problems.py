@@ -16,7 +16,8 @@ import numpy as np
 from .sparse import CsrMatrix
 
 # Largest dense n x n array the library assembles: the synthetic spectral
-# operator of ``spectral_synthetic``.
+# operator of ``spectral_synthetic``, and the coarse sweeps' matrix S of
+# ``amg.coarse_sweep_matrix``.
 MAX_DENSE_N = 1024
 
 

@@ -2,7 +2,8 @@
 
 ``CsrMatrix`` is one scipy CSR matrix with checked structure: sorted,
 duplicate-free columns.  Its values are float64; only ``float32_twin``
-makes a float32 copy (``amg.as_vcycle_preconditioner`` is its caller), and
+makes a float32 copy (``amg.as_vcycle_preconditioner`` is its caller),
+storing 0.0 for entries below float32's resolution in their row, and
 ``spmv`` runs in the matrix's precision.  A banded float32 twin also keeps
 its values by diagonals, the form ``spmv`` multiplies it in (``float32_twin``
 says when and why the bits stay the same).  Every operator application of
@@ -168,10 +169,21 @@ class CsrMatrix:
         us; aniso2d m=256: 255/157 -> 117/73 us, 2-vCPU VM).  Float64
         matrices stay CSR: there DIA was slower on poisson3d (396 -> 465
         us).
+
+        Before either form is built, an entry whose float32 value is
+        subnormal and below 2^-24 times the largest magnitude in its row
+        is stored as 0.0 (``_flush_subresolution``).  2^-24 is float32's
+        unit roundoff, so dropping such an entry changes the row by less
+        than the cast may already have rounded its largest entry; and
+        subnormal arithmetic is slow on x86: Galerkin cancellation left 432
+        of them on level 3 of aniso2d m=256, whose SpMV they slowed from
+        17.7 to 34.2 us.  The structure and ``nnz`` stay, and a subnormal
+        that is its row's largest entry is kept exactly.
         """
         twin = CsrMatrix.__new__(CsrMatrix)
         values = np.multiply(self.values, scale, out=np.empty(self.nnz, np.float32))
         twin._m = scipy.sparse.csr_matrix((values, self.col_idx, self.row_ptr), shape=self._m.shape)
+        _flush_subresolution(twin._m)
         twin._dia = _dia_form(twin._m)
         return twin
 
@@ -185,17 +197,54 @@ class CsrMatrix:
         return spmv(self, x)
 
     def is_symmetric(self):
-        """Square, with |a_ij - a_ji| <= 1e-13 max(max |a_ij|, 1) everywhere."""
+        """Square, with |a_ij - a_ji| <= 1e-13 max |a_ij| everywhere.
+
+        The tolerance is relative to the matrix's own scale, so the answer
+        is the same for A and any multiple cA, c > 0.
+        """
         if self.nrows != self.ncols:
             return False
         d = self.to_scipy() - self.to_scipy().T
-        scale = max(np.max(np.abs(self.values)), 1.0) if self.nnz else 1.0
-        return d.nnz == 0 or np.max(np.abs(d.data)) <= 1e-13 * scale
+        return d.nnz == 0 or np.max(np.abs(d.data)) <= 1e-13 * np.max(np.abs(self.values))
 
 
-# Rows per block of _dia_form's passes hold about this many entries, which
-# bounds its nnz-long temporaries to a few MB
-_DIA_BLOCK_NNZ = 1 << 16
+# Rows per block of the passes over a twin's entries (_flush_subresolution,
+# _dia_form) hold about this many entries, which bounds their nnz-long
+# temporaries to a few MB
+_BLOCK_NNZ = 1 << 16
+
+
+def _row_blocks(m):
+    """Consecutive row ranges (r0, r1) of CSR ``m``, about ``_BLOCK_NNZ`` entries each."""
+    n = m.shape[0]
+    step = max(1, _BLOCK_NNZ * n // max(m.nnz, 1))
+    return [(r, min(r + step, n)) for r in range(0, n, step)]
+
+
+def _flush_subresolution(m):
+    """Store 0.0, in place, for each entry of float32 CSR ``m`` that is
+    subnormal and below 2^-24 of its row's largest magnitude.
+
+    2^-24 is float32's unit roundoff: such an entry is smaller than the
+    rounding the cast may have made to the row's largest entry, and it
+    only makes the product slower, as subnormal arithmetic is slow on
+    x86.  A subnormal that is its row's largest entry is kept.  Checked in row blocks, with
+    the row maxima taken only in blocks that hold a zero or a subnormal.
+    """
+    ptr, data = m.indptr, m.data
+    tiny = np.finfo(np.float32).tiny
+    for r0, r1 in _row_blocks(m):
+        a = np.abs(data[ptr[r0]:ptr[r1]])
+        if not len(a) or a.min() >= tiny:
+            continue  # no zero or subnormal entry: the common block
+        sub = np.flatnonzero((a < tiny) & (a > 0.0))
+        local = ptr[r0:r1 + 1] - ptr[r0]
+        nonempty = np.flatnonzero(np.diff(local))
+        row_max = np.zeros(r1 - r0)
+        row_max[nonempty] = np.maximum.reduceat(a, local[nonempty])
+        rows = np.searchsorted(local, sub, side="right") - 1
+        below = a[sub] < np.ldexp(row_max[rows], -24)
+        data[ptr[r0] + sub[below]] = 0.0
 
 
 def _dia_form(m):
@@ -210,8 +259,7 @@ def _dia_form(m):
     if m.shape[1] != n or m.nnz == 0:
         return None
     ptr, col = m.indptr, m.indices
-    step = max(1, _DIA_BLOCK_NNZ * n // m.nnz)
-    blocks = [(r, min(r + step, n)) for r in range(0, n, step)]
+    blocks = _row_blocks(m)
 
     def shifted_offsets(r0, r1):
         # col - row + n - 1, in [0, 2n - 2]: intp, as 2n - 2 may pass int32

@@ -23,7 +23,7 @@ from amgpoly.amg import (
 )
 from amgpoly.krylov import solve
 from amgpoly.problems import MAX_DENSE_N, aniso2d_q1, poisson3d
-from amgpoly.smoothers import FAMILIES, PolySmootherConfig, smoother_apply
+from amgpoly.smoothers import FAMILIES, PolySmootherConfig, l1_jacobi_diag, smoother_apply
 from amgpoly.sparse import CsrMatrix, spmv, spmv_count
 
 from conftest import (
@@ -339,6 +339,101 @@ class TestBuildHierarchy:
         assert s["operator_complexity"] >= 1.0
 
 
+def without_s(h):
+    """``h`` with no ``S``: its coarsest level runs the l1-Jacobi sweeps."""
+    coarsest = dataclasses.replace(h.levels[-1], S=None)
+    return dataclasses.replace(h, levels=h.levels[:-1] + (coarsest,))
+
+
+# The hierarchies of perfbench's smoke workloads
+SMOKE_HIERARCHIES = {
+    "poisson3d-m12-match": (lambda: poisson3d(12)[0], "pairwise_matching"),
+    "aniso2d-m32-sa": (lambda: aniso2d_q1(32, 100.0, math.pi / 6)[0], "smoothed_aggregation"),
+}
+
+
+def assert_s_is_the_sweeps(h):
+    """S e_j is the coarse sweeps' e_j within 1e-12 relative, for every j, and S is symmetric."""
+    coarse = h.levels[-1]
+    S = coarse.S
+    n = coarse.A.nrows
+    assert (S.nrows, S.ncols) == (n, n)
+    assert S.to_dense().tobytes() == S.to_dense().T.tobytes()
+    assert S.is_symmetric()
+    for j, e in enumerate(np.eye(n)):
+        want = smoother_apply(h.coarse_smoother, coarse.A, coarse.M, e)
+        assert np.abs(spmv(S, e) - want).max() <= 1e-12 * np.abs(want).max(), j
+
+
+class TestCoarseSweepMatrix:
+    """``build_hierarchy`` forms the coarse sweeps into one matrix S where it costs no more."""
+
+    @pytest.mark.parametrize("name", sorted(SMOKE_HIERARCHIES))
+    def test_bench_hierarchies_get_s(self, name):
+        problem, coarsening = SMOKE_HIERARCHIES[name]
+        h = build_hierarchy(problem(), coarsening=coarsening)
+        assert h.levels[-1].S is not None
+        assert all(level.S is None for level in h.levels[:-1])
+        assert_s_is_the_sweeps(h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        integer_m_matrices(),
+        st.integers(1, 12),
+        st.sampled_from(["smoothed_aggregation", "pairwise_matching"]),
+    )
+    def test_m_matrices(self, A, sweeps, kind):
+        h = build_hierarchy(A, coarsening=kind, min_coarse_size=2, coarse_sweeps=sweeps)
+        coarse = h.levels[-1]
+        n = coarse.A.nrows
+        assert (coarse.S is not None) == (n * n <= (sweeps - 1) * coarse.A.nnz)
+        if coarse.S is not None:
+            assert_s_is_the_sweeps(h)
+
+    def test_rule_is_a_work_count(self):
+        # periodic 6-point ring: n^2 = 36 = (3 - 1) * 18 nnz, at the bound
+        ring = 4.0 * np.eye(6) - np.roll(np.eye(6), 1, axis=1) - np.roll(np.eye(6), -1, axis=1)
+        A = CsrMatrix.from_dense(ring)
+        M = l1_jacobi_diag(A)
+        assert A.nnz == 18
+        assert amg.coarse_sweep_matrix(A, M, 3) is not None
+        assert amg.coarse_sweep_matrix(A, M, 2) is None
+
+    def test_none_for_one_sweep(self):
+        # a dense 2 x 2 coarsest level: n^2 = nnz, so any second sweep forms S
+        A = CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        assert build_hierarchy(A, coarse_sweeps=1).levels[-1].S is None
+        h = build_hierarchy(A, coarse_sweeps=2)
+        assert h.levels[-1].S is not None
+        assert_s_is_the_sweeps(h)
+
+    def test_none_past_the_dense_cap(self, monkeypatch):
+        # 1025 rows pass the work count at 400 sweeps but not MAX_DENSE_N,
+        # and no n x n array is made on the way to None
+        def no_dense(*args):
+            raise AssertionError("S must not be formed")
+
+        A = tridiag(MAX_DENSE_N + 1)
+        assert A.nrows**2 <= 399 * A.nnz
+        monkeypatch.setattr(np, "eye", no_dense)
+        assert amg.coarse_sweep_matrix(A, l1_jacobi_diag(A), 400) is None
+
+    def test_none_where_the_sweeps_read_less(self):
+        # 200 tridiagonal rows: n^2 = 40000 > 29 * 598
+        h = build_hierarchy(tridiag(200), max_levels=1)
+        assert len(h.levels) == 1
+        assert h.levels[-1].S is None
+
+    def test_forming_s_counts_no_spmv(self):
+        A, _ = poisson3d(6)
+        h = build_hierarchy(A, min_coarse_size=10, max_levels=2)
+        coarse = h.levels[-1]
+        before = spmv_count()
+        S = amg.coarse_sweep_matrix(coarse.A, coarse.M, 30)
+        assert spmv_count() == before
+        assert S.to_dense().tobytes() == coarse.S.to_dense().tobytes()
+
+
 class TestVcycle:
     @pytest.mark.parametrize(
         "A, r",
@@ -351,10 +446,15 @@ class TestVcycle:
         ids=["tridiag12", "identity3", "diag2_4", "tridiag4"],
     )
     def test_single_level_is_the_coarse_smoother(self, A, r):
+        # n^2 <= 29 nnz on each: the V-cycle is one product with S, and
+        # without S it is the 30 sweeps themselves
         h = build_hierarchy(A, min_coarse_size=20)
         assert len(h.levels) == 1
-        want = smoother_apply(h.coarse_smoother, A, h.levels[0].M, r)
-        assert vcycle_apply(h, r).tobytes() == want.tobytes()
+        level = h.levels[0]
+        assert level.S is not None
+        assert vcycle_apply(h, r).tobytes() == spmv(level.S, r).tobytes()
+        want = smoother_apply(h.coarse_smoother, A, level.M, r)
+        assert vcycle_apply(without_s(h), r).tobytes() == want.tobytes()
 
     def test_zero_maps_to_zero(self):
         A, _ = poisson3d(4)
@@ -363,18 +463,23 @@ class TestVcycle:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bitwise_equal_to_public_smoother_calls(self, family, rng):
-        # two levels: the public smoother calls around the l1-Jacobi coarse solve
+        # two levels: the public smoother calls around the coarse solve, one
+        # product with S, or the l1-Jacobi sweeps where there is no S
         A, _ = poisson3d(6)
         smoother = PolySmootherConfig(family=family, degree=3)
         h = build_hierarchy(A, smoother=smoother, max_levels=2, min_coarse_size=10)
         assert len(h.levels) == 2
         fine, coarse = h.levels
+        assert coarse.S is not None
         r = rng.standard_normal(A.nrows)
         x = smoother_apply(smoother, fine.A, fine.M, r)
         rc = spmv(fine.R, r - spmv(fine.A, x))
-        xc = smoother_apply(h.coarse_smoother, coarse.A, coarse.M, rc)
-        want = smoother_apply(smoother, fine.A, fine.M, r, x + spmv(fine.P, xc))
-        assert vcycle_apply(h, r).tobytes() == want.tobytes()
+        for hh, xc in (
+            (h, spmv(coarse.S, rc)),
+            (without_s(h), smoother_apply(h.coarse_smoother, coarse.A, coarse.M, rc)),
+        ):
+            want = smoother_apply(smoother, fine.A, fine.M, r, x + spmv(fine.P, xc))
+            assert vcycle_apply(hh, r).tobytes() == want.tobytes()
 
     def test_linearity(self, rng):
         A, _ = poisson3d(4)
@@ -431,11 +536,14 @@ class TestVcycle:
             e_new = e - vcycle_apply(h, r)
             assert e_new @ Ad @ e_new < e @ Ad @ e
 
-    @pytest.mark.parametrize("k, sweeps", [(1, 1), (3, 5), (4, 30)])
-    def test_spmv_count_per_vcycle(self, k, sweeps):
+    @pytest.mark.parametrize(
+        "k, sweeps, coarse", [(1, 1, 0), (3, 5, 1), (4, 30, 1)], ids=["1-1", "3-5", "4-30"]
+    )
+    def test_spmv_count_per_vcycle(self, k, sweeps, coarse):
         # per non-coarse level: (k - 1) pre-smoothing + 1 residual + k
         # post-smoothing on A, plus restriction and prolongation; the coarse
-        # l1-Jacobi solve starts from zero and costs sweeps - 1
+        # solve is one product with S (its 15 rows are dense: n^2 <= 4 nnz), or
+        # l1-Jacobi sweeps from zero, sweeps - 1 SpMVs, where S is None
         A, _ = poisson3d(8)
         h = build_hierarchy(
             A,
@@ -445,34 +553,57 @@ class TestVcycle:
             coarse_sweeps=sweeps,
         )
         assert len(h.levels) == 3
+        assert (h.levels[-1].S is None) == (sweeps == 1)
         precond = as_vcycle_preconditioner(h)  # its fine level multiplies in DIA form
-        for cycle in (lambda r: vcycle_apply(h, r), precond):
+        bare = without_s(h)
+        for cycle, want in (
+            (lambda r: vcycle_apply(h, r), coarse),
+            (precond, coarse),
+            (lambda r: vcycle_apply(bare, r), sweeps - 1),
+        ):
             before = spmv_count()
             cycle(np.ones(A.nrows))
-            assert spmv_count() - before == 2 * (2 * k + 2) + sweeps - 1
+            assert spmv_count() - before == 2 * (2 * k + 2) + want
 
     def test_every_smoothing_is_one_smoother_apply_call(self, monkeypatch):
-        # pre and post on each of two levels, plus the l1-Jacobi coarse solve
+        # pre and post on each of two levels; between them the coarse solve,
+        # one SpMV with S, or without S one call of the l1-Jacobi sweeps
         calls = []
 
         def counting(*args):
             calls.append(args[:2])
             return smoother_apply(*args)
 
+        def recording(mat, x):
+            calls.append(mat)
+            return spmv(mat, x)
+
         A, _ = poisson3d(8)
         h = build_hierarchy(A, min_coarse_size=10, max_levels=3)
         assert len(h.levels) == 3
         monkeypatch.setattr(amg, "smoother_apply", counting)
-        vcycle_apply(h, np.ones(A.nrows))
-        fine, mid, coarse = (level.A for level in h.levels)
-        assert calls == [(h.smoother, fine), (h.smoother, mid), (h.coarse_smoother, coarse),
-                         (h.smoother, mid), (h.smoother, fine)]
+        monkeypatch.setattr(amg, "spmv", recording)
+        fine, mid, coarse = h.levels
+        for hh, coarse_solve in ((h, coarse.S), (without_s(h), (h.coarse_smoother, coarse.A))):
+            calls.clear()
+            vcycle_apply(hh, np.ones(A.nrows))
+            assert calls == [
+                (h.smoother, fine.A), fine.A, fine.R,
+                (h.smoother, mid.A), mid.A, mid.R,
+                coarse_solve,
+                mid.P, (h.smoother, mid.A),
+                fine.P, (h.smoother, fine.A),
+            ]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bitwise_equal_to_explicit_zero_guess_vcycle(self, family, rng):
+        # the coarse solve is one product with S, and without S the sweeps
+        # from an explicit zero guess
         def reference(h, r, lvl=0):
             level = h.levels[lvl]
             if lvl == len(h.levels) - 1:
+                if level.S is not None:
+                    return spmv(level.S, r)
                 return smoother_apply(h.coarse_smoother, level.A, level.M, r, np.zeros_like(r))
             x = smoother_apply(h.smoother, level.A, level.M, r, np.zeros_like(r))
             rc = spmv(level.R, r - spmv(level.A, x))
@@ -486,8 +617,10 @@ class TestVcycle:
             min_coarse_size=10,
             max_levels=3,
         )
+        assert h.levels[-1].S is not None
         r = rng.standard_normal(A.nrows)
-        assert np.array_equal(vcycle_apply(h, r), reference(h, r))
+        for hh in (h, without_s(h)):
+            assert vcycle_apply(hh, r).tobytes() == reference(hh, r).tobytes()
 
 
 class TestFloat32Preconditioner:
@@ -511,10 +644,13 @@ class TestFloat32Preconditioner:
             assert r @ z > 0.0
             assert np.linalg.norm(z - want) <= 1e-5 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("k, sweeps", [(1, 1), (3, 5), (4, 30)])
-    def test_spmv_accounting_matches_the_float64_vcycle(self, k, sweeps, monkeypatch):
+    @pytest.mark.parametrize(
+        "k, sweeps, coarse", [(1, 1, 0), (3, 5, 1), (4, 30, 1)], ids=["1-1", "3-5", "4-30"]
+    )
+    def test_spmv_accounting_matches_the_float64_vcycle(self, k, sweeps, coarse, monkeypatch):
         # the count of test_spmv_count_per_vcycle, on float32 operators with
-        # the shapes and nnz of their float64 twins, in the same order
+        # the shapes and nnz of their float64 twins, in the same order; the
+        # coarse solve is S's one product, or the sweeps where S is None
         A, _ = poisson3d(8)
         h = build_hierarchy(
             A,
@@ -535,7 +671,7 @@ class TestFloat32Preconditioner:
         monkeypatch.setattr(amg, "spmv", recording)
         before = spmv_count()
         B(r)
-        assert spmv_count() - before == 2 * (2 * k + 2) + sweeps - 1
+        assert spmv_count() - before == 2 * (2 * k + 2) + coarse
         ran32, calls[:] = calls[:], []
         vcycle_apply(h, r)
         assert [c[:3] for c in ran32] == [c[:3] for c in calls]

@@ -108,6 +108,20 @@ class TestCsrMatrix:
         B = CsrMatrix.from_dense([[2.0, -1.0], [0.0, 2.0]])
         assert not B.is_symmetric()
 
+    @pytest.mark.parametrize("c", [1.0, 1e-20, 1e20])
+    def test_symmetry_check_does_not_depend_on_scale(self, c):
+        # an absolute floor would pass [[2e-20, -1e-20], [0, 2e-20]]
+        B = CsrMatrix.from_dense(c * np.array([[2.0, -1.0], [0.0, 2.0]]))
+        assert not B.is_symmetric()
+        with pytest.raises(ValueError, match="symmetric"):
+            build_hierarchy(B)
+        # symmetric matrices pass at every scale, aniso2d's among them,
+        # which its assembly makes symmetric only to rounding
+        for A in (tridiag(5), poisson3d(4)[0], aniso2d_q1(8, 100.0, math.pi / 6)[0]):
+            assert CsrMatrix.from_scipy(A.to_scipy() * c).is_symmetric()
+        A = aniso2d_q1(8, 100.0, math.pi / 6)[0].to_scipy()
+        assert (A != A.T).nnz > 0  # not bitwise symmetric
+
 
 class TestFloat32:
     def test_constructor_converts_every_real_dtype_to_float64(self):
@@ -157,6 +171,91 @@ class TestFloat32:
             y = spmv(A, v)
             assert y.dtype == np.float64
             assert y.tobytes() == A.to_scipy().dot(np.asarray(v, dtype=np.float64)).tobytes()
+
+
+def flushed_by_rule(m):
+    """Loop oracle of ``float32_twin``'s flush: per row, the positions of the
+    entries that are subnormal and below 2^-24 of the row's largest magnitude."""
+    tiny = float(np.finfo(np.float32).tiny)
+    out = []
+    for i in range(m.shape[0]):
+        row = [abs(float(v)) for v in m.data[m.indptr[i]:m.indptr[i + 1]]]
+        for k, a in enumerate(row):
+            if 0.0 < a < tiny and a < max(row) * 2.0**-24:
+                out.append(m.indptr[i] + k)
+    return out
+
+
+class TestSubresolutionFlush:
+    """``float32_twin`` stores 0.0 for entries below float32's resolution in their row."""
+
+    def test_rule(self):
+        a = np.array([
+            [1.0, 2.0**-130, 0.0, -(2.0**-140)],  # both subnormals flushed
+            [2.0**-127, 2.0**-140, 0.0, 0.0],  # row of subnormals: 2^-140 >= 2^-151, kept
+            [2.0**-103, 0.0, 2.0**-127, 2.0**-128],  # 2^-127 at the bound kept, 2^-128 flushed
+            [1e-30, 0.0, 0.0, 1e10],  # 1e-30 is tiny in its row but normal: kept
+        ])
+        A = CsrMatrix.from_dense(a)
+        T = A.float32_twin()
+        want = a.astype(np.float32)
+        want[0, 1] = want[0, 3] = want[2, 3] = 0.0
+        assert T.to_dense().tobytes() == want.tobytes()
+        assert want[1, 0] == np.float32(2.0**-127) and want[2, 2] == np.float32(2.0**-127)
+        # the rule reads the scaled value: scaled by 2^60 nothing is subnormal
+        assert A.float32_twin(2.0**60).to_dense().tobytes() == (a * 2.0**60).astype(np.float32).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(-60, 0))
+    def test_rule_against_the_loop(self, n, seed, shift):
+        # entries spread over 2^-160 .. 2^0, scaled by 2^shift
+        rng = np.random.default_rng(seed)
+        a = np.ldexp(rng.uniform(0.5, 1.0, (n, n)), rng.integers(-160, 1, (n, n)))
+        a *= rng.choice([-1.0, 1.0], (n, n))
+        a[rng.random((n, n)) < 0.3] = 0.0
+        A = CsrMatrix.from_dense(a)
+        scale = 2.0**shift
+        T = A.float32_twin(scale)
+        cast = A.to_scipy().astype(np.float64)
+        cast.data = (cast.data * scale).astype(np.float32)
+        want = cast.data.copy()
+        want[flushed_by_rule(cast)] = 0.0
+        assert T.values.tobytes() == want.tobytes()
+
+    def test_blocks_do_not_change_it(self, monkeypatch):
+        a = np.ldexp(np.ones((9, 9)), np.arange(81).reshape(9, 9) % 17 * -10)
+        A = CsrMatrix.from_dense(a)
+        whole = A.float32_twin().values.tobytes()
+        monkeypatch.setattr(sparse, "_BLOCK_NNZ", 5)  # about one row per block
+        assert len(sparse._row_blocks(A.to_scipy())) == 9
+        assert A.float32_twin().values.tobytes() == whole
+
+    @pytest.fixture(scope="class")
+    def galerkin_level(self):
+        # level 3 of aniso2d m=64 SA, whose twin holds subnormal entries from
+        # Galerkin cancellation, scaled as as_vcycle_preconditioner scales it
+        h = build_hierarchy(aniso2d_q1(64, 100.0, math.pi / 6)[0])
+        A = h.levels[3].A
+        q = int(np.frexp(np.max(np.abs(h.levels[0].A.values)))[1])
+        return A, 2.0**-q
+
+    def test_structure_and_nnz_stay(self, galerkin_level):
+        A, scale = galerkin_level
+        T = A.float32_twin(scale)
+        cast = (A.values * scale).astype(np.float32)
+        flushed = np.flatnonzero(T.values != cast)
+        assert len(flushed) > 0
+        assert np.all(T.values[flushed] == 0.0)
+        assert T.nnz == A.nnz
+        assert np.shares_memory(T.row_ptr, A.row_ptr) and np.shares_memory(T.col_idx, A.col_idx)
+
+    def test_dia_product_is_the_flushed_csr_product(self, galerkin_level, rng):
+        A, scale = galerkin_level
+        T = A.float32_twin(scale)
+        assert T._dia is not None
+        assert np.count_nonzero(T._dia.data) == np.count_nonzero(T.values)
+        x = rng.standard_normal(T.ncols).astype(np.float32)
+        assert spmv(T, x).tobytes() == T.to_scipy().dot(x).tobytes()
 
 
 # The hierarchies of perfbench's smoke workloads (poisson3d m=12 matching,
