@@ -101,7 +101,8 @@ class AmgHierarchy:
 
 def _aggregates_to_prolongator(n, agg, n_agg):
     cols = np.asarray(agg, dtype=np.int64)
-    return CsrMatrix(n, n_agg, np.arange(n + 1), cols, np.ones(n))
+    P = scipy.sparse.csr_matrix((np.ones(n), cols, np.arange(n + 1)), shape=(n, n_agg))
+    return CsrMatrix._wrap(P)
 
 
 def strength_graph(A, theta):
@@ -109,19 +110,26 @@ def strength_graph(A, theta):
 
     Entry (i, j) is strong when j != i and |a_ij| >= theta sqrt(|a_ii a_jj|),
     evaluated once over the CSR arrays, with the threshold built in place in
-    one nnz-long buffer.  Returns ``(ptr, cols, weights)``, all numpy arrays:
-    row i's strong columns are ``cols[ptr[i]:ptr[i+1]]`` and their |a_ij| the
-    same slice of ``weights``.  ``ptr`` counts the strong entries before each
-    ``row_ptr`` position.
+    one nnz-long buffer.  The diagonal is scaled by 2^-e, e the binary
+    exponent of max |a_ii|, before the product and the root by 2^e after
+    it, so the product cannot overflow; powers of two are exact, so in
+    range the bits are the plain formula's.  Returns ``(ptr, cols,
+    weights)``, all numpy arrays: row i's strong columns are
+    ``cols[ptr[i]:ptr[i+1]]`` and their |a_ij| the same slice of
+    ``weights``.  ``ptr`` counts the strong entries before each ``row_ptr``
+    position.
     """
     n = A.nrows
     cols = A.col_idx
     diag = A.diagonal()
+    e = int(np.frexp(np.max(np.abs(diag)))[1])
+    np.ldexp(diag, -e, out=diag)
     rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(A.row_ptr))
     bound = diag[rows]
     bound *= diag[cols]
     np.abs(bound, out=bound)
     np.sqrt(bound, out=bound)
+    np.ldexp(bound, e, out=bound)
     bound *= theta
     strong = cols != rows
     del rows
@@ -271,8 +279,6 @@ def galerkin_rap(A, P, R):
     A^T, not A: a fine operator symmetric only to rounding (aniso2d)
     differs from its transpose in the last bit.
     """
-    if A.ncols != P.nrows or R.ncols != A.nrows:
-        raise ValueError("dimension mismatch in Galerkin product")
     # one expression, so A^T is freed before the outer product runs
     sp = R.to_scipy() @ (A.to_scipy().T.tocsr() @ P.to_scipy())
     sp = (sp + sp.T) * 0.5
@@ -303,7 +309,7 @@ def coarse_sweep_matrix(A, M, sweeps):
         x += d
         if j < sweeps - 1:
             r -= Asp @ d
-    return CsrMatrix.from_dense((x + x.T) * 0.5)
+    return CsrMatrix._adopt(scipy.sparse.csr_matrix((x + x.T) * 0.5))
 
 
 def build_hierarchy(
@@ -323,10 +329,12 @@ def build_hierarchy(
     smoothed) or when two successive ones each keep at least 95% of their
     fine size (both are kept).
     Raises ``ValueError`` for an unknown ``coarsening`` and unless ``A`` is
-    square and symmetric with a positive diagonal and ``max_levels`` and
-    ``coarse_sweeps`` are at least 1.  Only the fine level is checked: the
-    coarser ones are its Galerkin products.  Every operator the V-cycle
-    reads is built here: each level's smoothed prolongator ``P``, its
+    square and symmetric with finite entries, finite l1 row sums and a
+    positive diagonal and ``max_levels`` and ``coarse_sweeps`` are at least
+    1.  Only the fine level is checked, and its structure only where it was
+    built (``CsrMatrix``): every other matrix here is a product of checked
+    ones and is wrapped unchecked.  Every operator the V-cycle reads is
+    built here: each level's smoothed prolongator ``P``, its
     restriction ``R = P^T`` and l1-Jacobi diagonal; the coarsest level is
     solved by ``coarse_sweeps`` l1-Jacobi sweeps, which
     ``coarse_sweep_matrix`` forms into the coarsest level's ``S`` when one
@@ -339,7 +347,15 @@ def build_hierarchy(
         raise ValueError("max_levels must be >= 1")
     if coarse_sweeps < 1:
         raise ValueError("coarse_sweeps must be >= 1")
-    M = l1_jacobi_diag(A)  # rejects a matrix not square or without a positive diagonal
+    bad = np.flatnonzero(~np.isfinite(A.values))
+    if len(bad):
+        i = int(np.searchsorted(A.row_ptr, bad[0], side="right")) - 1
+        raise ValueError(f"A has non-finite entries ({len(bad)} of {A.nnz}), the first "
+                         f"a[{i}, {A.col_idx[bad[0]]}] = {A.values[bad[0]]}")
+    with np.errstate(over="ignore"):  # an overflowing row sum is rejected below
+        M = l1_jacobi_diag(A)  # rejects a matrix not square or without a positive diagonal
+    if not np.all(np.isfinite(M)):
+        raise ValueError("A's l1 row sums overflow float64")
     if not A.is_symmetric():
         raise ValueError("A must be symmetric")
     smoother = smoother or PolySmootherConfig()
@@ -393,8 +409,6 @@ def vcycle_apply(h, r, _level=0):
     residual and k post-smoothing.
     """
     level = h.levels[_level]
-    if len(r) != level.A.nrows:
-        raise ValueError("dimension mismatch")
     if _level == len(h.levels) - 1:
         if level.S is not None:
             return spmv(level.S, r)

@@ -43,23 +43,15 @@ FAMILIES = ("l1_jacobi", "cheb4", "opt_cheb4", "opt_cheb1")
 def l1_jacobi_diag(A):
     """l1-Jacobi diagonal of a square matrix with positive diagonal.
 
-    Returns the array M_i = a_ii + sum_{j != i} |a_ij|.  A ``CsrMatrix``'s
-    row sums of |a_ij| are reduced straight from its value array, as scipy's
-    CSR ``sum(axis=1)`` reduces them (``np.add.reduceat`` at the nonempty
-    rows), with no copy of the index arrays; any other operator
-    (``SpectralOperator``) is summed over its dense array.
+    Returns the array M_i = a_ii + sum_{j != i} |a_ij|, the row sums of
+    |a_ij| taken by ``sum(axis=1)`` of the scipy matrix of a ``CsrMatrix``
+    and of the dense array of any other operator (``SpectralOperator``).
     """
     if A.nrows != A.ncols:
         raise ValueError("matrix must be square")
-    if isinstance(A, CsrMatrix):
-        d = A.diagonal()
-        nonempty = np.flatnonzero(np.diff(A.row_ptr))
-        row_abs = np.zeros(A.nrows)
-        row_abs[nonempty] = np.add.reduceat(np.abs(A.values), A.row_ptr[nonempty])
-    else:
-        S = A.to_dense()
-        d = S.diagonal()
-        row_abs = abs(S).sum(axis=1)
+    X = A.to_scipy() if isinstance(A, CsrMatrix) else A.to_dense()
+    d = X.diagonal()
+    row_abs = np.asarray(abs(X).sum(axis=1)).ravel()
     if np.any(d <= 0.0):
         raise ValueError("non-positive diagonal entry")
     return row_abs - np.abs(d) + d

@@ -1,21 +1,21 @@
 """Sparse CSR storage and counted SpMV.
 
-``CsrMatrix`` is one scipy CSR matrix with checked structure: sorted,
-duplicate-free columns.  Its values are float64; only ``float32_twin``
-makes a float32 copy (``amg.as_vcycle_preconditioner`` is its caller),
-storing 0.0 for entries below float32's resolution in their row, and
-``spmv`` runs in the matrix's precision.  A banded float32 twin also keeps
-its values by diagonals, the form ``spmv`` multiplies it in (``float32_twin``
-says when and why the bits stay the same).  Every operator application of
-the solve phase (smoothers, V-cycle, Krylov) goes through ``spmv``, which
-counts it.  The setup kernels (``amg``, ``smoothers.l1_jacobi_diag``) read the
-scipy matrix through ``to_scipy``.  A matrix they build and nothing else
-holds (a Galerkin product, a smoothed prolongator, a transpose) is
-canonicalized in place and wrapped by ``CsrMatrix._adopt``; the public
-``from_scipy`` copies its argument first.  The generators in ``problems``
-write canonical CSR arrays and pass them to the checked constructor.  Every
-kernel reads the same arrays in scipy's fixed evaluation order, so results
-are run-to-run deterministic.
+``CsrMatrix`` is one scipy CSR matrix with sorted, duplicate-free columns,
+checked once, where it enters: the generators in ``problems``,
+``identity``, ``from_scipy`` and ``from_dense`` go through the constructor,
+which runs scipy's own validators.  A matrix the library builds from
+checked ones (a setup product, canonicalized in place by ``_adopt``, a
+tentative prolongator, a float32 twin) is wrapped unchecked by ``_wrap``.
+Its values are float64; only ``float32_twin`` makes a float32 copy
+(``amg.as_vcycle_preconditioner`` is its caller), storing 0.0 for entries
+below float32's resolution in their row, and ``spmv`` runs in the matrix's
+precision.  A banded float32 twin also keeps its values by diagonals, the
+form ``spmv`` multiplies it in (``float32_twin`` says when and why the bits
+stay the same).  Every operator application of the solve phase (smoothers,
+V-cycle, Krylov) goes through ``spmv``, which counts it; the setup kernels
+read the scipy matrix through ``to_scipy``.  Every kernel reads the same
+arrays in scipy's fixed evaluation order, so results are run-to-run
+deterministic.
 """
 
 from __future__ import annotations
@@ -36,70 +36,66 @@ def spmv_count():
 class CsrMatrix:
     """Compressed sparse row matrix with sorted, duplicate-free columns.
 
-    A checked wrapper around one ``scipy.sparse.csr_matrix``, built in the
-    constructor once the arrays pass the structural checks.  ``row_ptr``,
-    ``col_idx`` and ``values`` are its ``indptr``, ``indices`` and ``data``
-    (scipy picks the index dtype), and ``to_scipy()`` returns it.  Real
-    values of any dtype are converted to float64.  The one second copy of
-    values is the DIA (diagonal) form that ``float32_twin`` builds when the
-    twin is square and its diagonals hold at most 2 nnz entries, so that DIA
-    stores no more bytes than CSR.  Only ``spmv`` reads it, and its products
-    have the CSR product's bits in about half the time.
+    A wrapper around one ``scipy.sparse.csr_matrix``.  The constructor
+    converts real values of any dtype to float64 and raises ``ValueError``
+    unless ``row_ptr`` ends at their number and scipy's
+    ``check_format(full_check=True)`` and ``has_canonical_format`` pass.
+    ``row_ptr``, ``col_idx`` and ``values`` are the scipy matrix's
+    ``indptr``, ``indices`` and ``data`` (scipy picks the index dtype), and
+    ``to_scipy()`` returns it.  The one second copy of values is the DIA
+    (diagonal) form that ``float32_twin`` builds when the twin is square and
+    its diagonals hold at most 2 nnz entries, so that DIA stores no more
+    bytes than CSR.  Only ``spmv`` reads it, and its products have the CSR
+    product's bits in about half the time.
     """
 
-    _dia = None  # scipy DIA form of the same matrix, read only by spmv
-
     def __init__(self, nrows, ncols, row_ptr, col_idx, values):
-        row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
         if np.iscomplexobj(values):
             raise ValueError("complex values are not supported")
         values = np.asarray(values, dtype=np.float64)
-        nnz = len(values)
-        if row_ptr.shape != (nrows + 1,):
-            raise ValueError("row_ptr must have length nrows+1")
-        if row_ptr[0] != 0 or row_ptr[-1] != nnz:
-            raise ValueError("row_ptr endpoints inconsistent with values")
-        if np.any(np.diff(row_ptr) < 0):
-            raise ValueError("row_ptr must be nondecreasing")
-        if len(col_idx) != nnz:
-            raise ValueError("col_idx and values length mismatch")
-        if nnz:
-            if col_idx.min() < 0 or col_idx.max() >= ncols:
-                raise ValueError("col_idx must lie in [0, ncols)")
-            increasing = np.diff(col_idx) > 0
-            # the step into the first entry of a row may go down
-            starts = row_ptr[1:-1]
-            increasing[starts[(starts > 0) & (starts < nnz)] - 1] = True
-            if not increasing.all():
-                raise ValueError("col_idx must be strictly increasing within each row")
-        self._m = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(nrows, ncols))
+        m = scipy.sparse.csr_matrix((values, col_idx, row_ptr), shape=(nrows, ncols))
+        if m.nnz != len(values):  # scipy drops the entries past row_ptr[-1]
+            raise ValueError("row_ptr must end at the number of values")
+        m.check_format(full_check=True)
+        if not m.has_canonical_format:  # also where row_ptr decreases with nnz = 0
+            raise ValueError("col_idx must be strictly increasing within each row"
+                             " and row_ptr nondecreasing")
+        self._m, self._dia = m, None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, m, dia=None):
+        """Wrap CSR ``m``, built from checked matrices, and its DIA form ``dia`` unchecked."""
+        self = cls.__new__(cls)
+        self._m, self._dia = m, dia
+        return self
+
+    @classmethod
     def from_scipy(cls, m):
         """Canonical copy of any scipy sparse matrix; ``m`` is left as it was."""
-        return cls._adopt(m.tocsr(copy=True))
+        m = cls._adopt(m.tocsr(copy=True)).to_scipy()  # canonicalized, then checked
+        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
 
     @classmethod
     def _adopt(cls, m):
         """Wrap a scipy CSR matrix that nothing else holds, with no copy.
 
         ``m`` is canonicalized in place (duplicates summed, zeros dropped,
-        columns sorted) and then passes the constructor's checks.  Any other
-        format raises ``TypeError``: its arrays would be read as another
-        matrix's CSR arrays (a CSC matrix's as its transpose's).
+        columns sorted) and wrapped unchecked.  Any other format raises
+        ``TypeError``: its arrays would be read as another matrix's CSR
+        arrays (a CSC matrix's as its transpose's).
         """
         if getattr(m, "format", None) != "csr":
             raise TypeError(f"_adopt takes a scipy CSR matrix, not {type(m).__name__}")
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
+        return cls._wrap(m)
 
     @classmethod
     def from_dense(cls, a):
-        return cls._adopt(scipy.sparse.csr_matrix(np.asarray(a, dtype=np.float64)))
+        return cls.from_scipy(scipy.sparse.csr_matrix(np.asarray(a)))
 
     @classmethod
     def identity(cls, n):
@@ -147,7 +143,7 @@ class CsrMatrix:
         The product is formed in float64 and rounded as it is stored, so a
         power-of-two ``scale`` is exact and moves values that a plain cast
         would overflow into float32's range.  The twin shares ``row_ptr`` and
-        ``col_idx``, already checked here, and skips the O(nnz) checks.
+        ``col_idx`` and is wrapped unchecked, as this matrix's structure is.
 
         A square twin whose diagonals hold at most 2 nnz entries also gets
         a scipy DIA form, which ``spmv`` multiplies with.  At that size DIA
@@ -180,12 +176,10 @@ class CsrMatrix:
         17.7 to 34.2 us.  The structure and ``nnz`` stay, and a subnormal
         that is its row's largest entry is kept exactly.
         """
-        twin = CsrMatrix.__new__(CsrMatrix)
         values = np.multiply(self.values, scale, out=np.empty(self.nnz, np.float32))
-        twin._m = scipy.sparse.csr_matrix((values, self.col_idx, self.row_ptr), shape=self._m.shape)
-        _flush_subresolution(twin._m)
-        twin._dia = _dia_form(twin._m)
-        return twin
+        m = scipy.sparse.csr_matrix((values, self.col_idx, self.row_ptr), shape=self._m.shape)
+        _flush_subresolution(m)
+        return CsrMatrix._wrap(m, _dia_form(m))
 
     def transpose(self):
         return CsrMatrix._adopt(self.to_scipy().T.tocsr())
@@ -299,10 +293,8 @@ def spmv(A, x):
     half the time; see ``CsrMatrix.float32_twin``); every other matrix
     through its scipy CSR matrix.
     """
-    x = np.asarray(x, dtype=A.dtype)
-    if A.ncols != len(x):
-        raise ValueError(f"dimension mismatch: A is {A.nrows}x{A.ncols}, x has {len(x)}")
+    y = (A.to_scipy() if A._dia is None else A._dia).dot(np.asarray(x, dtype=A.dtype))
     global _spmv_calls
     _spmv_calls += 1
-    return (A.to_scipy() if A._dia is None else A._dia).dot(x)
+    return y
 

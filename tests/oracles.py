@@ -4,6 +4,8 @@ None of these runs in ``amgpoly``: each is built from the paper's formulas
 (the error polynomials p, the scaled first-kind family, the two-level bound)
 and never from the smoother step tables, so that a test comparing the
 library with them checks the tables.  Desk-scale sizes only.
+``l1_jacobi_diag_reduceat`` is the one oracle of bits, not of theory: an
+explicit evaluation of the l1 diagonal that ``l1_jacobi_diag`` must match.
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ from amgpoly.optimize import (
     solve_a_star,
 )
 from amgpoly.smoothers import l1_jacobi_diag, smoother_apply
+
+
+def l1_jacobi_diag_reduceat(A):
+    """M_i = a_ii + sum_{j != i} |a_ij| of a ``CsrMatrix``, its row sums
+    reduced straight from the value array by ``np.add.reduceat`` at the
+    nonempty rows: the evaluation that scipy's CSR ``sum(axis=1)`` makes."""
+    d = A.diagonal()
+    nonempty = np.flatnonzero(np.diff(A.row_ptr))
+    row_abs = np.zeros(A.nrows)
+    row_abs[nonempty] = np.add.reduceat(np.abs(A.values), A.row_ptr[nonempty])
+    return row_abs - np.abs(d) + d
 
 
 def scaled_cheb_eval(a, k, x):

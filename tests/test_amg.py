@@ -82,6 +82,20 @@ class TestStrengthGraph:
             assert cols[ptr[i]:ptr[i + 1]].tolist() == strong
             assert weights[ptr[i]:ptr[i + 1]].tolist() == [abs(D[i, j]) for j in strong]
 
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_power_of_two_scaling_keeps_the_graph(self, k):
+        # a_ii a_jj overflows at 2^600 (about 4e180) and underflows at 2^-600
+        # unless the diagonal is scaled before the product
+        A = aniso2d_q1(32, 100.0, math.pi / 6)[0]
+        B = CsrMatrix.from_scipy(A.to_scipy() * 2.0**k)
+        ptr, cols, weights = strength_graph(A, 0.01)
+        ptr_b, cols_b, weights_b = strength_graph(B, 0.01)
+        assert np.array_equal(ptr_b, ptr) and np.array_equal(cols_b, cols)
+        assert weights_b.tobytes() == (weights * 2.0**k).tobytes()
+        sizes = [l.A.nrows for l in build_hierarchy(A).levels]
+        assert len(sizes) >= 3
+        assert [l.A.nrows for l in build_hierarchy(B).levels] == sizes
+
 
 class TestMatchingAggregate:
     def test_identity_no_edges(self):
@@ -244,6 +258,14 @@ class TestBuildHierarchy:
             (CsrMatrix.from_dense([[2.0, -1.0], [0.0, 2.0]]), "symmetric"),
             (CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 0.0]]), "positive diagonal"),
             (CsrMatrix.from_dense([[-2.0, 1.0], [1.0, -2.0]]), "positive diagonal"),
+            (CsrMatrix.from_dense([[2.0, np.inf], [np.inf, 2.0]]),
+             r"non-finite entries \(2 of 4\), the first a\[0, 1\]"),
+            (CsrMatrix.from_dense([[2.0, -1.0], [-1.0, -np.inf]]),
+             r"non-finite entries \(1 of 4\), the first a\[1, 1\]"),
+            (CsrMatrix.from_dense([[np.nan, -1.0], [-1.0, 2.0]]),
+             r"\(1 of 4\), the first a\[0, 0\] = nan"),
+            # every entry is finite, the l1 row sums 2e308 are not
+            (CsrMatrix.from_dense([[1e308, -1e308], [-1e308, 1e308]]), "row sums overflow"),
         ],
     )
     def test_rejects_bad_fine_matrix(self, A, message):
@@ -432,6 +454,26 @@ class TestCoarseSweepMatrix:
         S = amg.coarse_sweep_matrix(coarse.A, coarse.M, 30)
         assert spmv_count() == before
         assert S.to_dense().tobytes() == coarse.S.to_dense().tobytes()
+
+
+def test_setup_and_solve_check_no_structure(monkeypatch):
+    # the structure is checked once, where the fine matrix enters; the smoke
+    # benchmark hierarchies, their float32 V-cycle and the PCG solve build
+    # every other matrix from checked ones and wrap it unchecked
+    problems = [
+        (poisson3d(12), "pairwise_matching"),
+        (aniso2d_q1(32, 100.0, math.pi / 6), "smoothed_aggregation"),
+    ]
+
+    def checked_constructor(self, *args):
+        raise AssertionError("a structure check ran after the fine matrix was built")
+
+    monkeypatch.setattr(CsrMatrix, "__init__", checked_constructor)
+    for (A, b), kind in problems:
+        h = build_hierarchy(A, coarsening=kind)
+        assert len(h.levels) >= 3 and h.levels[-1].S is not None
+        _, rep = solve(A, b, precond=as_vcycle_preconditioner(h))
+        assert rep.converged
 
 
 class TestVcycle:

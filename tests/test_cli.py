@@ -149,6 +149,7 @@ class TestExitCodes:
         ("epsilon=inf", "epsilon: must be finite and positive"),
         ("angle=nan", "angle: must be finite"),
         ("angle=inf", "angle: must be finite"),
+        ("epsilon=1e308", "row sums overflow"),  # entries up to 1.3e308 are finite
     ])
     def test_degenerate_aniso2d_coefficient_is_2(self, override, message, capsys):
         args = ["solve", "--override", "problem=aniso2d", "--override", "m=8",
@@ -339,10 +340,11 @@ class TestSolveCommand:
         assert len(report["hierarchy"]["levels"]) >= 2
         assert alive == [False] * 6
 
-    @pytest.mark.parametrize("epsilon", ["1e40", "1e60"])
+    @pytest.mark.parametrize("epsilon", ["1e40", "1e60", "1e300"])
     def test_coefficients_beyond_float32_range_converge(self, epsilon):
         # the float32 V-cycle scales A into float32's range; a plain cast of
-        # these operators overflows, and PCG breaks down at iteration 0
+        # these operators overflows, and PCG breaks down at iteration 0.  At
+        # 1e300 the strength graph's a_ii a_jj would overflow unscaled
         cfg = parse_config(None, ["problem=aniso2d", "m=16", f"epsilon={epsilon}"])
         _, rep = run_solve(cfg)
         assert rep.converged and not rep.breakdown

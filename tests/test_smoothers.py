@@ -19,10 +19,11 @@ from amgpoly.smoothers import (
 )
 from amgpoly.sparse import CsrMatrix, spmv_count
 
-from conftest import evaluate_gamma_numeric, random_spd, tridiag
+from conftest import evaluate_gamma_numeric, integer_m_matrices, random_spd, tridiag
 from oracles import (
     error_polynomial,
     error_polynomial_coeffs,
+    l1_jacobi_diag_reduceat,
     scaled_cheb_eval,
     smoother_error_oracle,
     smoothing_constant,
@@ -70,6 +71,21 @@ class TestL1Diag:
             d = S.diagonal()
             expected = np.asarray(abs(S).sum(axis=1)).ravel() - np.abs(d) + d
             assert level.M.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("problem", [
+        lambda: poisson3d(12)[0],
+        lambda: aniso2d_q1(32, 100.0, math.pi / 6)[0],
+    ], ids=["poisson3d-m12", "aniso2d-m32"])
+    def test_bits_of_reduceat_on_the_smoke_bench_matrices(self, problem):
+        A = problem()
+        assert l1_jacobi_diag(A).tobytes() == l1_jacobi_diag_reduceat(A).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_m_matrices(), st.floats(0.1, 10.0))
+    def test_bits_of_reduceat_on_m_matrices(self, A, c):
+        # scaled by c, so that the row sums round
+        A = CsrMatrix.from_scipy(A.to_scipy() * c)
+        assert l1_jacobi_diag(A).tobytes() == l1_jacobi_diag_reduceat(A).tobytes()
 
     def test_spectral_operator_negative_eigenvalues_rejected(self):
         with pytest.raises(ValueError, match="non-positive diagonal"):

@@ -30,17 +30,22 @@ class TestCsrMatrix:
             CsrMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
 
     @pytest.mark.parametrize("row_ptr, match", [
-        ([1, 1, 2, 2], "endpoints"),
-        ([0, 1, 1, 1], "endpoints"),  # scipy alone would drop the last entry
-        ([0, 2, 1, 2], "nondecreasing"),
+        ([1, 1, 2, 2], "start with 0"),
+        ([0, 1, 1, 1], "end at the number of values"),  # scipy alone would drop the last entry
+        ([0, 2, 1, 2], "non-decreasing"),
     ])
     def test_inconsistent_row_ptr_rejected(self, row_ptr, match):
         with pytest.raises(ValueError, match=match):
             CsrMatrix(3, 3, np.array(row_ptr), np.array([0, 1]), np.ones(2))
 
+    def test_decreasing_row_ptr_of_an_empty_matrix_rejected(self):
+        # scipy's full check reads row_ptr only when nnz > 0
+        with pytest.raises(ValueError, match="row_ptr nondecreasing"):
+            CsrMatrix(2, 2, np.array([0, 1, 0]), np.array([], int), np.array([]))
+
     @pytest.mark.parametrize("col", [-1, 3])
     def test_column_out_of_range_rejected(self, col):
-        with pytest.raises(ValueError, match="ncols"):
+        with pytest.raises(ValueError, match="indices must be"):
             CsrMatrix(2, 3, np.array([0, 1, 2]), np.array([0, col]), np.ones(2))
 
     @pytest.mark.parametrize("cols", [[2, 1], [1, 1]])
@@ -57,6 +62,8 @@ class TestCsrMatrix:
             CsrMatrix(2, 2, [0, 1, 2], [0, 1], [1 + 1j, 2.0])
         with pytest.raises(ValueError, match="complex"):
             CsrMatrix.from_scipy(scipy.sparse.csr_matrix(np.array([[2.0, 1j], [-1j, 2.0]])))
+        with pytest.raises(ValueError, match="complex"):  # not a real matrix with a warning
+            CsrMatrix.from_dense(np.array([[2.0, 1j], [-1j, 2.0]]))
 
     def test_arrays_are_the_scipy_matrix(self):
         A = tridiag(5)
@@ -83,11 +90,17 @@ class TestCsrMatrix:
         assert np.array_equal(A.col_idx, [0, 2, 0])
         assert np.shares_memory(A.values, m.data)
 
-    def test_adopt_keeps_the_structural_checks(self):
-        m = scipy.sparse.csr_matrix(np.eye(2))
-        m.indices[1] = 5  # out of range, left as it is by canonicalization
-        with pytest.raises(ValueError, match="ncols"):
-            CsrMatrix._adopt(m)
+    def test_adopt_runs_no_structural_check(self, monkeypatch):
+        # a product of checked matrices is trusted: only the entry checks
+        A = CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+
+        def checked_constructor(self, *args):
+            raise AssertionError("_adopt must not re-run the structural checks")
+
+        monkeypatch.setattr(CsrMatrix, "__init__", checked_constructor)
+        B = CsrMatrix._adopt(A.to_scipy() @ A.to_scipy())
+        assert np.array_equal(B.to_dense(), [[5.0, -4.0], [-4.0, 5.0]])
+        assert B._dia is None
 
     def test_adopt_rejects_other_formats(self):
         # a CSC matrix's arrays read as CSR are its transpose's
