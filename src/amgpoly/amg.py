@@ -43,6 +43,13 @@ from .sparse import CsrMatrix, spmv
 # Power-iteration steps of estimate_lambda_max
 POWER_STEPS = 25
 
+# The hierarchy's settings, which build_hierarchy alone reads
+MAX_LEVELS = 10
+MIN_COARSE_SIZE = 200  # a level with no more rows is the coarsest
+COARSE_SWEEPS = 30  # l1-Jacobi sweeps that solve the coarsest level
+STRENGTH_THETA = 0.01  # sa_aggregate's strength threshold
+MATCHING_SWEEPS = 3  # matching_aggregate's sweeps
+
 # The coarsening kinds of build_hierarchy: sa_aggregate, matching_aggregate
 COARSENINGS = ("smoothed_aggregation", "pairwise_matching")
 
@@ -141,16 +148,17 @@ def strength_graph(A, theta):
     return before[A.row_ptr], cols[strong], absv[strong]
 
 
-def sa_aggregate(A, theta=0.01):
+def sa_aggregate(A, theta):
     """Tentative prolongator by greedy strong-neighbor aggregation.
 
-    The strength graph (``strength_graph``) is built once; both greedy
-    passes then walk it in natural row order.  Seeding: an unaggregated row
-    with at least two unaggregated strong neighbors becomes a new aggregate
-    together with those neighbors.  Leftovers: each remaining row joins the
-    aggregate of its strongest aggregated strong neighbor, the first in
-    column order winning ties (strict ``>``); a row with none becomes a
-    singleton, which later leftover rows may join.
+    The strength graph (``strength_graph`` at ``theta``, which
+    ``build_hierarchy`` sets to ``STRENGTH_THETA``) is built once; both
+    greedy passes then walk it in natural row order.  Seeding: an
+    unaggregated row with at least two unaggregated strong neighbors becomes
+    a new aggregate together with those neighbors.  Leftovers: each
+    remaining row joins the aggregate of its strongest aggregated strong
+    neighbor, the first in column order winning ties (strict ``>``); a row
+    with none becomes a singleton, which later leftover rows may join.
     """
     n = A.nrows
     ptr, cols, weights = strength_graph(A, theta)
@@ -184,14 +192,15 @@ def sa_aggregate(A, theta=0.01):
     return _aggregates_to_prolongator(n, agg, n_agg)
 
 
-def matching_aggregate(A, sweeps=3):
+def matching_aggregate(A, sweeps):
     """Tentative prolongator by repeated greedy pairwise matching.
 
     Edge weight w_ij = 1 - 2 a_ij / (a_ii + a_jj), clamped below at zero, so
     strongly negatively coupled pairs merge first.  Edges are visited by
     decreasing weight, ties broken by the lower row and then the lower
     column; each pair is numbered by its lower index.  Each sweep halves the
-    graph at most; aggregate sizes stay <= 2^sweeps.
+    graph at most; aggregate sizes stay <= 2^sweeps (``build_hierarchy``
+    runs ``MATCHING_SWEEPS``).
 
     Only the edges left live by earlier blocks of the order reach the
     Python loop (module docstring).
@@ -312,41 +321,32 @@ def coarse_sweep_matrix(A, M, sweeps):
     return CsrMatrix._adopt(scipy.sparse.csr_matrix((x + x.T) * 0.5))
 
 
-def build_hierarchy(
-    A,
-    coarsening="smoothed_aggregation",
-    smoother=None,
-    max_levels=10,
-    min_coarse_size=200,
-    coarse_sweeps=30,
-):
-    """Build levels until the coarse size or level cap is hit.
+def build_hierarchy(A, coarsening="smoothed_aggregation", smoother=None):
+    """Build levels until one has at most ``MIN_COARSE_SIZE`` rows or there
+    are ``MAX_LEVELS``.
 
-    ``coarsening`` is one of ``COARSENINGS``: ``sa_aggregate`` or
-    ``matching_aggregate`` at their default strength threshold and sweep
-    count.  Stops early, with ``stagnated`` set, when a coarsening does not
+    ``coarsening`` is one of ``COARSENINGS``: ``sa_aggregate`` at
+    ``STRENGTH_THETA`` or ``matching_aggregate`` at ``MATCHING_SWEEPS``.
+    Stops early, with ``stagnated`` set, when a coarsening does not
     shrink the problem at all (it is dropped before its prolongator is
     smoothed) or when two successive ones each keep at least 95% of their
     fine size (both are kept).
-    Raises ``ValueError`` for an unknown ``coarsening`` and unless ``A`` is
-    square and symmetric with finite entries, finite l1 row sums and a
-    positive diagonal and ``max_levels`` and ``coarse_sweeps`` are at least
-    1.  Only the fine level is checked, and its structure only where it was
-    built (``CsrMatrix``): every other matrix here is a product of checked
-    ones and is wrapped unchecked.  Every operator the V-cycle reads is
-    built here: each level's smoothed prolongator ``P``, its
-    restriction ``R = P^T`` and l1-Jacobi diagonal; the coarsest level is
-    solved by ``coarse_sweeps`` l1-Jacobi sweeps, which
+    Raises ``ValueError`` for an unknown ``coarsening`` and unless ``A`` has
+    rows and is square and symmetric with finite entries, finite l1 row sums
+    and a positive diagonal.  Only the fine level is checked, and its
+    structure only where it was built (``CsrMatrix``): every other matrix
+    here is a product of checked ones and is wrapped unchecked.  Every
+    operator the V-cycle reads is built here: each level's smoothed
+    prolongator ``P``, its restriction ``R = P^T`` and l1-Jacobi diagonal;
+    the coarsest level is solved by ``COARSE_SWEEPS`` l1-Jacobi sweeps, which
     ``coarse_sweep_matrix`` forms into the coarsest level's ``S`` when one
     product with S costs no more than the sweeps.  S is new storage: every
     other array is the same with or without it.
     """
     if coarsening not in COARSENINGS:
         raise ValueError(f"unknown coarsening kind {coarsening!r}")
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1")
-    if coarse_sweeps < 1:
-        raise ValueError("coarse_sweeps must be >= 1")
+    if A.nrows == 0:
+        raise ValueError("A has no rows")
     bad = np.flatnonzero(~np.isfinite(A.values))
     if len(bad):
         i = int(np.searchsorted(A.row_ptr, bad[0], side="right")) - 1
@@ -362,15 +362,11 @@ def build_hierarchy(
     levels = []  # each Level is built once its P and R are known
     Al, Ml = A, M
     stagnated = 0
-    while (
-        Al.nrows > min_coarse_size
-        and len(levels) + 1 < max_levels
-        and stagnated < 2
-    ):
+    while Al.nrows > MIN_COARSE_SIZE and len(levels) + 1 < MAX_LEVELS and stagnated < 2:
         if coarsening == "smoothed_aggregation":
-            P_hat = sa_aggregate(Al)
+            P_hat = sa_aggregate(Al, STRENGTH_THETA)
         else:
-            P_hat = matching_aggregate(Al)
+            P_hat = matching_aggregate(Al, MATCHING_SWEEPS)
         # smoothing keeps P_hat's columns, so the stall rules read P_hat
         if P_hat.ncols >= Al.nrows:
             stagnated = 2  # no progress at all: drop this coarsening and stop
@@ -385,11 +381,11 @@ def build_hierarchy(
         levels.append(Level(A=Al, M=Ml, P=P, R=R))
         Al = galerkin_rap(Al, P, R)
         Ml = l1_jacobi_diag(Al)
-    levels.append(Level(A=Al, M=Ml, S=coarse_sweep_matrix(Al, Ml, coarse_sweeps)))
+    levels.append(Level(A=Al, M=Ml, S=coarse_sweep_matrix(Al, Ml, COARSE_SWEEPS)))
     return AmgHierarchy(
         levels=tuple(levels),
         smoother=smoother,
-        coarse_smoother=PolySmootherConfig(family="l1_jacobi", degree=coarse_sweeps),
+        coarse_smoother=PolySmootherConfig(family="l1_jacobi", degree=COARSE_SWEEPS),
         stagnated=stagnated >= 2,
     )
 
@@ -402,7 +398,7 @@ def vcycle_apply(h, r, _level=0):
 
     Every smoothing (pre, post and the l1-Jacobi coarse solve) is one
     ``smoother_apply`` call, except that the coarsest level multiplies by
-    its ``S`` when it has one: one SpMV in place of the ``coarse_sweeps`` - 1
+    its ``S`` when it has one: one SpMV in place of the ``COARSE_SWEEPS`` - 1
     of the sweeps, on a matrix of the coarsest level's shape.  The
     pre-smoother starts from a zero guess, so a level with a degree-k
     smoother costs 2k SpMVs on its operator: k - 1 pre-smoothing, one

@@ -132,8 +132,7 @@ def smoother_apply(config, A, M, b, x0=None):
         else:
             d *= c
             np.divide(r, M, out=s)
-            if e != 1.0:
-                s *= e
+            s *= e
             d += s
         if w != 1.0:
             np.multiply(d, w, out=s)

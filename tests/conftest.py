@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import strategies as st
 
+from amgpoly import amg
 from amgpoly.sparse import CsrMatrix
 
 
@@ -75,6 +77,13 @@ def integer_m_matrices(draw):
     A = A + A.T
     A[np.diag_indices(n)] = -A.sum(axis=1) + extra
     return CsrMatrix.from_dense(A)
+
+
+def build_with(A, coarsening="smoothed_aggregation", smoother=None, **settings):
+    """``build_hierarchy`` with some of ``amg``'s hierarchy settings replaced
+    for this one call, as in ``build_with(A, MIN_COARSE_SIZE=10)``."""
+    with mock.patch.multiple(amg, **settings):
+        return amg.build_hierarchy(A, coarsening, smoother)
 
 
 def traced_peak(f):

@@ -253,7 +253,7 @@ def test_matching_bench_aggregates_pinned():
     # sha256 of the aggregates the lexsort implementation gave on the bench's
     # poisson3d m=48 fine level; no floating-point reduction, so no host
     # dependence
-    P = matching_aggregate(poisson3d(48)[0])
+    P = matching_aggregate(poisson3d(48)[0], 3)
     digest = hashlib.sha256()
     for a in (P.row_ptr.astype(np.int64), P.col_idx.astype(np.int64), P.values):
         digest.update(a.tobytes())

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amgpoly.amg import build_hierarchy
 from amgpoly.optimize import fourth_kind_basis, load_beta_tables, solve_a_star
 from amgpoly.problems import SpectralOperator, aniso2d_q1, poisson3d, spectral_synthetic
 from amgpoly.smoothers import (
@@ -19,7 +18,7 @@ from amgpoly.smoothers import (
 )
 from amgpoly.sparse import CsrMatrix, spmv_count
 
-from conftest import evaluate_gamma_numeric, integer_m_matrices, random_spd, tridiag
+from conftest import build_with, evaluate_gamma_numeric, integer_m_matrices, random_spd, tridiag
 from oracles import (
     error_polynomial,
     error_polynomial_coeffs,
@@ -64,7 +63,7 @@ class TestL1Diag:
             A, kind = aniso2d_q1(64, 100.0, math.pi / 6)[0], "smoothed_aggregation"
         else:
             A, kind = poisson3d(16)[0], "pairwise_matching"
-        h = build_hierarchy(A, kind, min_coarse_size=20)
+        h = build_with(A, kind, MIN_COARSE_SIZE=20)
         assert len(h.levels) >= 3
         for level in h.levels:
             S = level.A.to_scipy()
