@@ -350,6 +350,40 @@ class TestBuildHierarchy:
         assert 1728 > MAX_DENSE_N
         assert rep.converged
 
+    @pytest.mark.parametrize(
+        "problem, kind, settings, default_sizes, sizes",
+        [
+            ("aniso2d", "smoothed_aggregation", {"MAX_LEVELS": 2},
+             [1056, 271, 66], [1056, 271]),
+            ("poisson3d", "smoothed_aggregation", {"MIN_COARSE_SIZE": 20},
+             [512, 127], [512, 127, 15]),
+            ("aniso2d", "smoothed_aggregation", {"STRENGTH_THETA": 0.1},
+             [1056, 271, 66], [1056, 256, 71]),
+            ("poisson3d", "pairwise_matching", {"MATCHING_SWEEPS": 1},
+             [512, 64], [512, 256, 128]),
+        ],
+        ids=["MAX_LEVELS", "MIN_COARSE_SIZE", "STRENGTH_THETA", "MATCHING_SWEEPS"],
+    )
+    def test_reads_each_setting_from_the_module(self, problem, kind, settings,
+                                                default_sizes, sizes):
+        # the module constants are the only way to set these values, and every
+        # test that builds a small hierarchy relies on build_hierarchy reading
+        # them at call time: a copied or hard-coded value keeps default_sizes
+        A = {"aniso2d": lambda: aniso2d_q1(32, 100.0, math.pi / 6)[0],
+             "poisson3d": lambda: poisson3d(8)[0]}[problem]()
+        assert [l.A.nrows for l in build_hierarchy(A, kind).levels] == default_sizes
+        assert [l.A.nrows for l in build_with(A, kind, **settings).levels] == sizes
+
+    def test_reads_coarse_sweeps_from_the_module(self):
+        A, _ = poisson3d(8)
+        h = build_with(A, COARSE_SWEEPS=7)
+        coarse = h.levels[-1]
+        assert h.coarse_smoother == PolySmootherConfig(family="l1_jacobi", degree=7)
+        want = amg.coarse_sweep_matrix(coarse.A, coarse.M, 7)
+        assert np.array_equal(coarse.S.to_dense(), want.to_dense())
+        default = build_hierarchy(A).levels[-1].S
+        assert not np.array_equal(coarse.S.to_dense(), default.to_dense())
+
     def test_summary_json_roundtrip(self):
         A, _ = poisson3d(4)
         h = build_with(A, MIN_COARSE_SIZE=10)
