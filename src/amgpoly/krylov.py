@@ -49,8 +49,10 @@ def solve(A, b, precond=None, cfg=None):
     None for plain CG).  The flexible variant re-orthogonalizes each new
     direction against the previous one only, which tolerates mildly variable
     preconditioning; with a fixed preconditioner both variants coincide up
-    to roundoff.  A curvature d'Ad that is not finite and positive, or a
-    non-finite residual norm or r'z, ends the solve with ``breakdown`` set.
+    to roundoff.  A curvature d'Ad that is not finite and positive, an r'z
+    that is not (the first one in either variant, each one in pcg; r'z <= 0
+    means the preconditioner is not SPD), or a non-finite residual norm
+    ends the solve with ``breakdown`` set.
     So does a NaN or +-inf in b, at iteration 0 and before any SpMV or
     preconditioner call, with ``final_relres`` NaN.
     """
@@ -96,6 +98,8 @@ def solve(A, b, precond=None, cfg=None):
     pc += 1
     d = z.copy()
     rz = float(r @ z)
+    if not 0.0 < rz < math.inf:  # NaN fails the comparison too
+        return report(0, False, breakdown=True)
 
     for it in range(1, cfg.itmax + 1):
         Ad = A.matvec(d)
@@ -117,7 +121,7 @@ def solve(A, b, precond=None, cfg=None):
         pc += 1
         if cfg.variant == "pcg":
             rz_new = float(r @ z)
-            if not math.isfinite(rz_new):
+            if not 0.0 < rz_new < math.inf:
                 return report(it, False, breakdown=True)
             beta = rz_new / rz
             rz = rz_new

@@ -11,11 +11,12 @@ Its values are float64; only ``float32_twin`` makes a float32 copy
 below float32's resolution in their row, and ``spmv`` runs in the matrix's
 precision.  A banded float32 twin also keeps its values by diagonals, the
 form ``spmv`` multiplies it in (``float32_twin`` says when and why the bits
-stay the same).  Every operator application of the solve phase (smoothers,
-V-cycle, Krylov) goes through ``spmv``, which counts it; the setup kernels
-read the scipy matrix through ``to_scipy``.  Every kernel reads the same
-arrays in scipy's fixed evaluation order, so results are run-to-run
-deterministic.
+stay the same); the flush and the DIA form are each one whole-array pass
+over the twin's entries.  Every operator application of the solve phase
+(smoothers, V-cycle, Krylov) goes through ``spmv``, which counts it; the
+setup kernels read the scipy matrix through ``to_scipy``.  Every kernel
+reads the same arrays in scipy's fixed evaluation order, so results are
+run-to-run deterministic.
 """
 
 from __future__ import annotations
@@ -148,33 +149,26 @@ class CsrMatrix:
         A square twin whose diagonals hold at most 2 nnz entries also gets
         a scipy DIA form, which ``spmv`` multiplies with.  At that size DIA
         stores no more bytes than CSR's float32 values and int32 indices, so
-        the rule is a byte count, not a tuned threshold.  It picks stencil
-        operators and the Galerkin levels just above them (7 to 33
-        diagonals, 1.01 to 1.09 entries stored per nonzero on levels 0 and
-        1 of poisson3d m=48 and aniso2d m=256) and a dense coarsest level
-        (2n - 1 diagonals); it never picks a prolongator or restriction,
-        which is not square, nor an aggregated level like aniso2d m=256's
-        level 2 (645 diagonals, 9.9 per nonzero).  Everything else stays the
-        CSR twin's: ``to_scipy()``, the arrays, ``nnz`` and the SpMV count.
-
-        The DIA product has the CSR product's bits for finite x.  scipy's
-        ``dia_matvec`` adds row i's products from zero in ascending column
-        order, as ``csr_matvec`` does, and a stored zero adds only a +-0,
-        which leaves a sum started at +0 as it was.  It is 2.1 to 2.4 times
-        faster in float32 (level 0/1 of poisson3d m=48: 357/159 -> 150/76
-        us; aniso2d m=256: 255/157 -> 117/73 us, 2-vCPU VM).  Float64
-        matrices stay CSR: there DIA was slower on poisson3d (396 -> 465
-        us).
+        the rule is a byte count, not a tuned threshold: it picks stencil
+        operators, the Galerkin levels just above them and a dense coarsest
+        level, and never a prolongator or restriction, which is not square,
+        nor an aggregated level with scattered diagonals.  Everything else
+        stays the CSR twin's: ``to_scipy()``, the arrays, ``nnz`` and the
+        SpMV count.  The DIA product has the CSR product's bits for finite
+        x: scipy's ``dia_matvec`` adds row i's products from zero in
+        ascending column order, as ``csr_matvec`` does, and a stored zero
+        adds only a +-0, which leaves a sum started at +0 as it was.  In
+        float32 it takes about half the time; float64 matrices stay CSR,
+        where DIA was slower.
 
         Before either form is built, an entry whose float32 value is
         subnormal and below 2^-24 times the largest magnitude in its row
         is stored as 0.0 (``_flush_subresolution``).  2^-24 is float32's
         unit roundoff, so dropping such an entry changes the row by less
-        than the cast may already have rounded its largest entry; and
-        subnormal arithmetic is slow on x86: Galerkin cancellation left 432
-        of them on level 3 of aniso2d m=256, whose SpMV they slowed from
-        17.7 to 34.2 us.  The structure and ``nnz`` stay, and a subnormal
-        that is its row's largest entry is kept exactly.
+        than the cast may already have rounded its largest entry, and
+        subnormal arithmetic is slow on x86.  The structure and ``nnz``
+        stay, and a subnormal that is its row's largest entry is kept
+        exactly.
         """
         values = np.multiply(self.values, scale, out=np.empty(self.nnz, np.float32))
         m = scipy.sparse.csr_matrix((values, self.col_idx, self.row_ptr), shape=self._m.shape)
@@ -202,19 +196,6 @@ class CsrMatrix:
         return d.nnz == 0 or np.max(np.abs(d.data)) <= 1e-13 * np.max(np.abs(self.values))
 
 
-# Rows per block of the passes over a twin's entries (_flush_subresolution,
-# _dia_form) hold about this many entries, which bounds their nnz-long
-# temporaries to a few MB
-_BLOCK_NNZ = 1 << 16
-
-
-def _row_blocks(m):
-    """Consecutive row ranges (r0, r1) of CSR ``m``, about ``_BLOCK_NNZ`` entries each."""
-    n = m.shape[0]
-    step = max(1, _BLOCK_NNZ * n // max(m.nnz, 1))
-    return [(r, min(r + step, n)) for r in range(0, n, step)]
-
-
 def _flush_subresolution(m):
     """Store 0.0, in place, for each entry of float32 CSR ``m`` that is
     subnormal and below 2^-24 of its row's largest magnitude.
@@ -222,58 +203,42 @@ def _flush_subresolution(m):
     2^-24 is float32's unit roundoff: such an entry is smaller than the
     rounding the cast may have made to the row's largest entry, and it
     only makes the product slower, as subnormal arithmetic is slow on
-    x86.  A subnormal that is its row's largest entry is kept.  Checked in row blocks, with
-    the row maxima taken only in blocks that hold a zero or a subnormal.
+    x86.  A subnormal that is its row's largest entry is kept.  The row
+    maxima are taken only when there is a subnormal.
     """
-    ptr, data = m.indptr, m.data
-    tiny = np.finfo(np.float32).tiny
-    for r0, r1 in _row_blocks(m):
-        a = np.abs(data[ptr[r0]:ptr[r1]])
-        if not len(a) or a.min() >= tiny:
-            continue  # no zero or subnormal entry: the common block
-        sub = np.flatnonzero((a < tiny) & (a > 0.0))
-        local = ptr[r0:r1 + 1] - ptr[r0]
-        nonempty = np.flatnonzero(np.diff(local))
-        row_max = np.zeros(r1 - r0)
-        row_max[nonempty] = np.maximum.reduceat(a, local[nonempty])
-        rows = np.searchsorted(local, sub, side="right") - 1
-        below = a[sub] < np.ldexp(row_max[rows], -24)
-        data[ptr[r0] + sub[below]] = 0.0
+    a = np.abs(m.data)
+    sub = np.flatnonzero((a < np.finfo(np.float32).tiny) & (a > 0.0))
+    if len(sub):
+        # in float64, where 2^-24 times a subnormal row maximum is exact
+        row_max = abs(m).max(axis=1).toarray().ravel().astype(np.float64)
+        rows = np.searchsorted(m.indptr, sub, side="right") - 1
+        m.data[sub[a[sub] < np.ldexp(row_max[rows], -24)]] = 0.0
 
 
 def _dia_form(m):
     """scipy DIA form of square CSR ``m`` if its diagonals hold <= 2 nnz entries, else None.
 
-    Two passes over blocks of rows: the first marks the diagonals present,
-    the second scatters each value to row k, column j of the (ndiag, n) data
-    array, k its diagonal's rank among the offsets (ascending, as
-    ``dia_matvec`` must read them) and j its column.
+    Each value goes to row k, column j of the (ndiag, n) data array, k its
+    diagonal's rank among the offsets (ascending, as ``dia_matvec`` must
+    read them) and j its column.
     """
     n = m.shape[0]
     if m.shape[1] != n or m.nnz == 0:
         return None
-    ptr, col = m.indptr, m.indices
-    blocks = _row_blocks(m)
-
-    def shifted_offsets(r0, r1):
-        # col - row + n - 1, in [0, 2n - 2]: intp, as 2n - 2 may pass int32
-        s = np.repeat(np.arange(n - 1 - r0, n - 1 - r1, -1, dtype=np.intp), np.diff(ptr[r0:r1 + 1]))
-        s += col[ptr[r0]:ptr[r1]]
-        return s
-
+    # col - row + n - 1, in [0, 2n - 2]: intp, as 2n - 2 may pass int32
+    pos = np.repeat(np.arange(n - 1, -1, -1, dtype=np.intp), np.diff(m.indptr))
+    pos += m.indices
     seen = np.zeros(2 * n - 1, dtype=bool)
-    for r0, r1 in blocks:
-        seen[shifted_offsets(r0, r1)] = True
+    seen[pos] = True
     ndiag = int(np.count_nonzero(seen))
     if ndiag * n > 2 * m.nnz:
         return None
-    starts = _diagonal_starts(seen, n)
+    # then k * n + col, the flat position in the (ndiag, n) data; "clip"
+    # gathers into pos itself, where the default "raise" buffers a copy
+    np.take(_diagonal_starts(seen, n), pos, out=pos, mode="clip")
+    pos += m.indices
     data = np.zeros((ndiag, n), dtype=m.dtype)
-    flat = data.reshape(-1)
-    for r0, r1 in blocks:
-        pos = starts[shifted_offsets(r0, r1)]
-        pos += col[ptr[r0]:ptr[r1]]
-        flat[pos] = m.data[ptr[r0]:ptr[r1]]
+    data.reshape(-1)[pos] = m.data
     return scipy.sparse.dia_matrix((data, np.flatnonzero(seen) - (n - 1)), shape=m.shape)
 
 

@@ -78,6 +78,20 @@ class TestSolve:
         assert rep.iterations == 0
 
     @pytest.mark.parametrize("variant", ["pcg", "fcg"])
+    @pytest.mark.parametrize("flip", ["alternating", "all"])
+    def test_preconditioner_with_r_z_not_positive_is_breakdown(self, variant, flip):
+        # z_i = (-1)^i r_i makes r'z = 0 exactly on b = ones, z = -r makes it
+        # negative: neither preconditioner is SPD
+        A, _ = poisson3d(8)
+        n = A.nrows
+        sign = -np.ones(n) if flip == "all" else np.where(np.arange(n) % 2, -1.0, 1.0)
+        cfg = KrylovConfig(variant=variant)
+        _, rep = solve(A, np.ones(n), precond=lambda r: sign * r, cfg=cfg)
+        assert rep.breakdown
+        assert not rep.converged
+        assert rep.iterations == rep.spmv_count == 0 and rep.precond_count == 1
+
+    @pytest.mark.parametrize("variant", ["pcg", "fcg"])
     def test_overflowing_residual_is_breakdown(self, variant):
         # alpha = 1e10 from the tiny first entry overflows the second residual entry
         A = types.SimpleNamespace(matvec=lambda x: np.array([1e-10 * x[0], 1e300 * x[0]]))

@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from amgpoly.amg import build_hierarchy
 from amgpoly.problems import aniso2d_q1, poisson3d
 from amgpoly.sparse import CsrMatrix, spmv, spmv_count
 
-from conftest import random_spd, tridiag
+from conftest import nbytes, random_spd, traced_peak, tridiag
 
 
 class TestCsrMatrix:
@@ -235,14 +236,6 @@ class TestSubresolutionFlush:
         want[flushed_by_rule(cast)] = 0.0
         assert T.values.tobytes() == want.tobytes()
 
-    def test_blocks_do_not_change_it(self, monkeypatch):
-        a = np.ldexp(np.ones((9, 9)), np.arange(81).reshape(9, 9) % 17 * -10)
-        A = CsrMatrix.from_dense(a)
-        whole = A.float32_twin().values.tobytes()
-        monkeypatch.setattr(sparse, "_BLOCK_NNZ", 5)  # about one row per block
-        assert len(sparse._row_blocks(A.to_scipy())) == 9
-        assert A.float32_twin().values.tobytes() == whole
-
     @pytest.fixture(scope="class")
     def galerkin_level(self):
         # level 3 of aniso2d m=64 SA, whose twin holds subnormal entries from
@@ -328,6 +321,28 @@ class TestDiaForm:
             assert diagonal_fill(A2) > 2.0
             assert A2.float32_twin()._dia is None
 
+    def test_layout_is_scipys_todia(self, hierarchy):
+        # scipy's todia() builds the same layout independently, through COO
+        # and np.unique; each square level's twin and S's, scaled as
+        # as_vcycle_preconditioner scales them
+        _, h = hierarchy
+        q = int(np.frexp(np.max(np.abs(h.levels[0].A.values)))[1])
+        for level in h.levels:
+            for M, scale in ((level.A, 2.0**-q), (level.S, 2.0**q)):
+                if M is None:
+                    continue
+                T = M.float32_twin(scale)
+                with warnings.catch_warnings():  # aniso2d's S has 109 diagonals
+                    warnings.filterwarnings("ignore", "Constructing a DIA matrix with",
+                                            scipy.sparse.SparseEfficiencyWarning)
+                    want = T.to_scipy().todia()
+                if T._dia is None:
+                    assert len(want.offsets) * T.nrows > 2 * T.nnz
+                else:
+                    assert T._dia.offsets.tolist() == want.offsets.tolist()
+                    assert T._dia.data.shape == want.data.shape
+                    assert T._dia.data.tobytes() == want.data.tobytes()
+
     def test_rule_is_two_nnz_on_the_diagonals(self):
         # 4x4: the main diagonal and both corners make 3 diagonals of 12
         # entries over nnz = 6, at the bound; one more entry on a fourth
@@ -358,6 +373,15 @@ class TestDiaForm:
         assert A._dia is None
         assert CsrMatrix.from_scipy(A.to_scipy())._dia is None
         assert A.transpose()._dia is None
+
+    def test_build_memory(self):
+        # one pass over all entries: the twin's own values and DIA data, one
+        # intp position per entry and the offset table, 2n - 1 intp
+        A, _ = poisson3d(24)
+        T, peak = traced_peak(A.float32_twin)
+        assert T._dia is not None
+        own = nbytes(T.values, T._dia.data, T._dia.offsets)
+        assert peak <= own + 8 * A.nnz + 16 * A.nrows
 
     def test_flat_positions_do_not_overflow(self):
         # k * n reaches 2**31 at the third diagonal of a 2**30-column matrix,
