@@ -123,15 +123,16 @@ def strength_graph(A, theta):
     range the bits are the plain formula's.  Returns ``(ptr, cols,
     weights)``, all numpy arrays: row i's strong columns are
     ``cols[ptr[i]:ptr[i+1]]`` and their |a_ij| the same slice of
-    ``weights``.  ``ptr`` counts the strong entries before each ``row_ptr``
+    ``weights``.  ``ptr`` counts the strong entries before each ``indptr``
     position.
     """
+    m = A.to_scipy()
     n = A.nrows
-    cols = A.col_idx
-    diag = A.diagonal()
+    cols = m.indices
+    diag = m.diagonal()
     e = int(np.frexp(np.max(np.abs(diag)))[1])
     np.ldexp(diag, -e, out=diag)
-    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(A.row_ptr))
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(m.indptr))
     bound = diag[rows]
     bound *= diag[cols]
     np.abs(bound, out=bound)
@@ -140,12 +141,12 @@ def strength_graph(A, theta):
     bound *= theta
     strong = cols != rows
     del rows
-    absv = np.abs(A.values)
+    absv = np.abs(m.data)
     strong &= absv >= bound
     del bound
-    before = np.zeros(len(cols) + 1, dtype=A.row_ptr.dtype)
+    before = np.zeros(len(cols) + 1, dtype=m.indptr.dtype)
     np.cumsum(strong, dtype=before.dtype, out=before[1:])
-    return before[A.row_ptr], cols[strong], absv[strong]
+    return before[m.indptr], cols[strong], absv[strong]
 
 
 def sa_aggregate(A, theta):
@@ -196,7 +197,10 @@ def matching_aggregate(A, sweeps):
     """Tentative prolongator by repeated greedy pairwise matching.
 
     Edge weight w_ij = 1 - 2 a_ij / (a_ii + a_jj), clamped below at zero, so
-    strongly negatively coupled pairs merge first.  Edges are visited by
+    strongly negatively coupled pairs merge first.  It is evaluated as
+    1 - a_ij / (h_i + h_j) with h = a_ii / 2, so the sum of two diagonals
+    near float64's largest value cannot overflow; halving is exact, so in
+    range the bits are the plain formula's.  Edges are visited by
     decreasing weight, ties broken by the lower row and then the lower
     column; each pair is numbered by its lower index.  Each sweep halves the
     graph at most; aggregate sizes stay <= 2^sweeps (``build_hierarchy``
@@ -213,8 +217,8 @@ def matching_aggregate(A, sweeps):
         rows = np.repeat(np.arange(n, dtype=cur.indices.dtype), np.diff(cur.indptr))
         upper = cur.indices > rows
         row, col, a = rows[upper], cur.indices[upper], cur.data[upper]
-        diag = cur.diagonal()
-        w = 1.0 - 2.0 * a / (diag[row] + diag[col])
+        h = 0.5 * cur.diagonal()
+        w = 1.0 - a / (h[row] + h[col])
         keep = w > 0.0
         order = np.argsort(-w[keep], kind="stable")
         row, col = row[keep][order], col[keep][order]
@@ -258,10 +262,7 @@ def estimate_lambda_max(A):
     mode and the iteration would stall on a lower eigenvalue.  The seed is
     fixed, so the estimate is deterministic.
     """
-    d = A.diagonal()
-    if np.any(d <= 0.0):
-        raise ValueError("diagonal must be positive")
-    ds = np.sqrt(d)
+    ds = np.sqrt(A.to_scipy().diagonal())
     v = np.ones(A.nrows) + np.random.default_rng(0).uniform(-0.5, 0.5, A.nrows)
     for _ in range(POWER_STEPS - 1):
         w = spmv(A, v / ds) / ds
@@ -272,11 +273,8 @@ def estimate_lambda_max(A):
 
 def smooth_prolongator(A, P_hat, omega):
     """P = (I - omega D^-1 A) P_hat assembled sparsely."""
-    d = A.diagonal()
-    if np.any(d == 0.0):
-        raise ValueError("zero diagonal entry")
     Asp = A.to_scipy()
-    scaled = scipy.sparse.diags(omega / d) @ Asp
+    scaled = scipy.sparse.diags(omega / Asp.diagonal()) @ Asp
     return CsrMatrix._adopt(P_hat.to_scipy() - scaled @ P_hat.to_scipy())
 
 
@@ -333,7 +331,9 @@ def build_hierarchy(A, coarsening="smoothed_aggregation", smoother=None):
     fine size (both are kept).
     Raises ``ValueError`` for an unknown ``coarsening`` and unless ``A`` has
     rows and is square and symmetric with finite entries, finite l1 row sums
-    and a positive diagonal.  Only the fine level is checked, and its
+    and a positive diagonal.  Symmetric means |a_ij - a_ji| <= 1e-13
+    max |a_ij|, relative to A's own scale, so the answer is the same for A
+    and any multiple cA, c > 0.  Only the fine level is checked, and its
     structure only where it was built (``CsrMatrix``): every other matrix
     here is a product of checked ones and is wrapped unchecked.  Every
     operator the V-cycle reads is built here: each level's smoothed
@@ -347,16 +347,17 @@ def build_hierarchy(A, coarsening="smoothed_aggregation", smoother=None):
         raise ValueError(f"unknown coarsening kind {coarsening!r}")
     if A.nrows == 0:
         raise ValueError("A has no rows")
-    bad = np.flatnonzero(~np.isfinite(A.values))
+    m = A.to_scipy()
+    bad = np.flatnonzero(~np.isfinite(m.data))
     if len(bad):
-        i = int(np.searchsorted(A.row_ptr, bad[0], side="right")) - 1
+        i = int(np.searchsorted(m.indptr, bad[0], side="right")) - 1
         raise ValueError(f"A has non-finite entries ({len(bad)} of {A.nnz}), the first "
-                         f"a[{i}, {A.col_idx[bad[0]]}] = {A.values[bad[0]]}")
+                         f"a[{i}, {m.indices[bad[0]]}] = {m.data[bad[0]]}")
     with np.errstate(over="ignore"):  # an overflowing row sum is rejected below
         M = l1_jacobi_diag(A)  # rejects a matrix not square or without a positive diagonal
     if not np.all(np.isfinite(M)):
         raise ValueError("A's l1 row sums overflow float64")
-    if not A.is_symmetric():
+    if np.max(np.abs((m - m.T).data), initial=0.0) > 1e-13 * np.max(np.abs(m.data)):
         raise ValueError("A must be symmetric")
     smoother = smoother or PolySmootherConfig()
     levels = []  # each Level is built once its P and R are known
@@ -377,7 +378,7 @@ def build_hierarchy(A, coarsening="smoothed_aggregation", smoother=None):
             stagnated = 0
         lam = estimate_lambda_max(Al)
         P = smooth_prolongator(Al, P_hat, 4.0 / (3.0 * lam))
-        R = P.transpose()
+        R = CsrMatrix._adopt(P.to_scipy().T.tocsr())
         levels.append(Level(A=Al, M=Ml, P=P, R=R))
         Al = galerkin_rap(Al, P, R)
         Ml = l1_jacobi_diag(Al)
@@ -442,7 +443,7 @@ def as_vcycle_preconditioner(h):
     that drops its last reference to ``h`` frees the float64 P, R, M, S and
     coarse A, and keeps only the fine float64 A that the Krylov loop reads.
     """
-    q = int(np.frexp(np.max(np.abs(h.levels[0].A.values)))[1])
+    q = int(np.frexp(np.max(np.abs(h.levels[0].A.to_scipy().data)))[1])
     scale = np.ldexp(1.0, -q)
     h32 = dataclasses.replace(h, levels=tuple(
         Level(

@@ -85,8 +85,8 @@ def solve(A, b, precond=None, cfg=None):
     if bnorm == 0.0:
         return report(0, True)
 
-    r = b.copy()  # b - A x, as x = 0
-    relres = np.linalg.norm(r) / bnorm
+    r = b  # b - A x, as x = 0; ldexp made b a new array, which r may update
+    relres = 1.0
     if cfg.record_history:
         history.append(relres)
 

@@ -1,11 +1,11 @@
 """Sparse CSR storage and counted SpMV.
 
 ``CsrMatrix`` is one scipy CSR matrix with sorted, duplicate-free columns,
-checked once, where it enters: the generators in ``problems``,
-``identity``, ``from_scipy`` and ``from_dense`` go through the constructor,
-which runs scipy's own validators.  A matrix the library builds from
-checked ones (a setup product, canonicalized in place by ``_adopt``, a
-tentative prolongator, a float32 twin) is wrapped unchecked by ``_wrap``.
+checked once, where it enters: the generators in ``problems`` and
+``identity`` go through the constructor, which runs scipy's own
+validators.  A matrix the library builds from checked ones (a setup
+product, canonicalized in place by ``_adopt``, a tentative prolongator, a
+float32 twin) is wrapped unchecked by ``_wrap``.
 Its values are float64; only ``float32_twin`` makes a float32 copy
 (``amg.as_vcycle_preconditioner`` is its caller), storing 0.0 for entries
 below float32's resolution in their row, and ``spmv`` runs in the matrix's
@@ -37,13 +37,14 @@ def spmv_count():
 class CsrMatrix:
     """Compressed sparse row matrix with sorted, duplicate-free columns.
 
-    A wrapper around one ``scipy.sparse.csr_matrix``.  The constructor
+    A wrapper around one ``scipy.sparse.csr_matrix``, which ``to_scipy()``
+    returns; its readers use scipy's names for the arrays (``indptr``,
+    ``indices``, ``data``; scipy picks the index dtype).  The constructor
     converts real values of any dtype to float64 and raises ``ValueError``
     unless ``row_ptr`` ends at their number and scipy's
     ``check_format(full_check=True)`` and ``has_canonical_format`` pass.
-    ``row_ptr``, ``col_idx`` and ``values`` are the scipy matrix's
-    ``indptr``, ``indices`` and ``data`` (scipy picks the index dtype), and
-    ``to_scipy()`` returns it.  The one second copy of values is the DIA
+    ``matvec`` is the operator protocol it shares with
+    ``problems.SpectralOperator``.  The one second copy of values is the DIA
     (diagonal) form that ``float32_twin`` builds when the twin is square and
     its diagonals hold at most 2 nnz entries, so that DIA stores no more
     bytes than CSR.  Only ``spmv`` reads it, and its products have the CSR
@@ -73,30 +74,20 @@ class CsrMatrix:
         return self
 
     @classmethod
-    def from_scipy(cls, m):
-        """Canonical copy of any scipy sparse matrix; ``m`` is left as it was."""
-        m = cls._adopt(m.tocsr(copy=True)).to_scipy()  # canonicalized, then checked
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
-
-    @classmethod
     def _adopt(cls, m):
         """Wrap a scipy CSR matrix that nothing else holds, with no copy.
 
-        ``m`` is canonicalized in place (duplicates summed, zeros dropped,
-        columns sorted) and wrapped unchecked.  Any other format raises
-        ``TypeError``: its arrays would be read as another matrix's CSR
-        arrays (a CSC matrix's as its transpose's).
+        ``m`` is canonicalized in place and wrapped unchecked:
+        ``sum_duplicates`` sorts the columns and sums duplicates, and
+        ``eliminate_zeros`` drops zeros and keeps the order.  Any other
+        format raises ``TypeError``: its arrays would be read as another
+        matrix's CSR arrays (a CSC matrix's as its transpose's).
         """
         if getattr(m, "format", None) != "csr":
             raise TypeError(f"_adopt takes a scipy CSR matrix, not {type(m).__name__}")
         m.sum_duplicates()
         m.eliminate_zeros()
-        m.sort_indices()
         return cls._wrap(m)
-
-    @classmethod
-    def from_dense(cls, a):
-        return cls.from_scipy(scipy.sparse.csr_matrix(np.asarray(a)))
 
     @classmethod
     def identity(cls, n):
@@ -113,38 +104,19 @@ class CsrMatrix:
         return self._m.shape[1]
 
     @property
-    def row_ptr(self):
-        return self._m.indptr
-
-    @property
-    def col_idx(self):
-        return self._m.indices
-
-    @property
-    def values(self):
-        return self._m.data
-
-    @property
-    def dtype(self):
-        return self._m.data.dtype
-
-    @property
     def nnz(self):
         return len(self._m.data)
 
     def to_scipy(self):
         return self._m
 
-    def to_dense(self):
-        return self.to_scipy().toarray()
-
     def float32_twin(self, scale=1.0):
         """This matrix with float32 values ``scale * a_ij``, each rounded once.
 
         The product is formed in float64 and rounded as it is stored, so a
         power-of-two ``scale`` is exact and moves values that a plain cast
-        would overflow into float32's range.  The twin shares ``row_ptr`` and
-        ``col_idx`` and is wrapped unchecked, as this matrix's structure is.
+        would overflow into float32's range.  The twin shares ``indptr`` and
+        ``indices`` and is wrapped unchecked, as this matrix's structure is.
 
         A square twin whose diagonals hold at most 2 nnz entries also gets
         a scipy DIA form, which ``spmv`` multiplies with.  At that size DIA
@@ -170,30 +142,14 @@ class CsrMatrix:
         stay, and a subnormal that is its row's largest entry is kept
         exactly.
         """
-        values = np.multiply(self.values, scale, out=np.empty(self.nnz, np.float32))
-        m = scipy.sparse.csr_matrix((values, self.col_idx, self.row_ptr), shape=self._m.shape)
+        a = self.to_scipy()
+        values = np.multiply(a.data, scale, out=np.empty(len(a.data), np.float32))
+        m = scipy.sparse.csr_matrix((values, a.indices, a.indptr), shape=a.shape)
         _flush_subresolution(m)
         return CsrMatrix._wrap(m, _dia_form(m))
 
-    def transpose(self):
-        return CsrMatrix._adopt(self.to_scipy().T.tocsr())
-
-    def diagonal(self):
-        return self.to_scipy().diagonal()
-
     def matvec(self, x):
         return spmv(self, x)
-
-    def is_symmetric(self):
-        """Square, with |a_ij - a_ji| <= 1e-13 max |a_ij| everywhere.
-
-        The tolerance is relative to the matrix's own scale, so the answer
-        is the same for A and any multiple cA, c > 0.
-        """
-        if self.nrows != self.ncols:
-            return False
-        d = self.to_scipy() - self.to_scipy().T
-        return d.nnz == 0 or np.max(np.abs(d.data)) <= 1e-13 * np.max(np.abs(self.values))
 
 
 def _flush_subresolution(m):
@@ -258,7 +214,8 @@ def spmv(A, x):
     half the time; see ``CsrMatrix.float32_twin``); every other matrix
     through its scipy CSR matrix.
     """
-    y = (A.to_scipy() if A._dia is None else A._dia).dot(np.asarray(x, dtype=A.dtype))
+    m = A.to_scipy()
+    y = (m if A._dia is None else A._dia).dot(np.asarray(x, dtype=m.dtype))
     global _spmv_calls
     _spmv_calls += 1
     return y

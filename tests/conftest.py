@@ -10,19 +10,28 @@ from amgpoly import amg
 from amgpoly.sparse import CsrMatrix
 
 
+def csr(a):
+    """Checked ``CsrMatrix`` copy of a dense array or a scipy sparse matrix,
+    canonicalized first (duplicates summed, zeros dropped, columns sorted);
+    ``a`` is left as it was."""
+    m = CsrMatrix._adopt(scipy.sparse.csr_matrix(a, copy=True)).to_scipy()
+    return CsrMatrix(*m.shape, m.indptr, m.indices, m.data)
+
+
+def to_dense(A):
+    """Dense copy of a ``CsrMatrix``."""
+    return A.to_scipy().toarray()
+
+
 def tridiag(n, lo=-1.0, di=2.0, up=-1.0):
-    return CsrMatrix.from_scipy(
-        scipy.sparse.diags([lo, di, up], [-1, 0, 1], shape=(n, n)).tocsr()
-    )
+    return csr(scipy.sparse.diags([lo, di, up], [-1, 0, 1], shape=(n, n)))
 
 
 def poisson2d_5pt(m):
     """5-point Laplacian on an m x m interior grid (diagonal 4)."""
     T = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
     eye = scipy.sparse.identity(m)
-    return CsrMatrix.from_scipy(
-        (scipy.sparse.kron(eye, T) + scipy.sparse.kron(T, eye)).tocsr()
-    )
+    return csr(scipy.sparse.kron(eye, T) + scipy.sparse.kron(T, eye))
 
 
 def linear_interp_1d(n):
@@ -35,7 +44,7 @@ def linear_interp_1d(n):
             P[i - 1, j] += 0.5
         if i + 1 < n:
             P[i + 1, j] += 0.5
-    return CsrMatrix.from_dense(P)
+    return csr(P)
 
 
 def evaluate_gamma_numeric(p, c1, grid_size=20001):
@@ -60,7 +69,7 @@ def random_spd(n, seed=0, shift=0.0):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     S = G.T @ G + (shift + n * 0.05) * np.eye(n)
-    return CsrMatrix.from_dense(S)
+    return csr(S)
 
 
 @st.composite
@@ -76,7 +85,7 @@ def integer_m_matrices(draw):
     A[np.triu_indices(n, 1)] = upper
     A = A + A.T
     A[np.diag_indices(n)] = -A.sum(axis=1) + extra
-    return CsrMatrix.from_dense(A)
+    return csr(A)
 
 
 def build_with(A, coarsening="smoothed_aggregation", smoother=None, **settings):
@@ -99,8 +108,11 @@ def nbytes(*arrays):
     """Bytes held by numpy arrays and by the three arrays of CsrMatrix ones."""
     total = 0
     for a in arrays:
-        parts = (a.row_ptr, a.col_idx, a.values) if isinstance(a, CsrMatrix) else (a,)
-        total += sum(x.nbytes for x in parts)
+        if isinstance(a, CsrMatrix):
+            m = a.to_scipy()
+            total += m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
+        else:
+            total += a.nbytes
     return total
 
 

@@ -29,10 +29,11 @@ def l1_jacobi_diag_reduceat(A):
     """M_i = a_ii + sum_{j != i} |a_ij| of a ``CsrMatrix``, its row sums
     reduced straight from the value array by ``np.add.reduceat`` at the
     nonempty rows: the evaluation that scipy's CSR ``sum(axis=1)`` makes."""
-    d = A.diagonal()
-    nonempty = np.flatnonzero(np.diff(A.row_ptr))
+    m = A.to_scipy()
+    d = m.diagonal()
+    nonempty = np.flatnonzero(np.diff(m.indptr))
     row_abs = np.zeros(A.nrows)
-    row_abs[nonempty] = np.add.reduceat(np.abs(A.values), A.row_ptr[nonempty])
+    row_abs[nonempty] = np.add.reduceat(np.abs(m.data), m.indptr[nonempty])
     return row_abs - np.abs(d) + d
 
 
@@ -165,16 +166,17 @@ def two_level_constants(A, P, smoother):
       bound  C/(C + 1/gamma), reducing to C/(C + 2k) for k plain sweeps,
       actual the A-norm squared of E = G^T (I - P Ac^-1 P^T A) G.
 
-    Raises ``ValueError`` unless A is symmetric positive definite.
+    Raises ``ValueError`` unless A is symmetric positive definite (symmetric
+    to 1e-13 of its largest entry, as ``build_hierarchy`` requires).
     """
-    if not A.is_symmetric():
+    Ad = A.to_scipy().toarray()
+    if np.max(np.abs(Ad - Ad.T)) > 1e-13 * np.max(np.abs(Ad)):
         raise ValueError("A must be symmetric")
-    Ad = A.to_dense()
     if np.any(np.linalg.eigvalsh(Ad) <= 0.0):
         raise ValueError("A must be positive definite")
     M = l1_jacobi_diag(A)
     n = A.nrows
-    Pd = P.to_dense()
+    Pd = P.to_scipy().toarray()
     Ac = Pd.T @ Ad @ Pd
     T = np.linalg.inv(Ad) - Pd @ np.linalg.inv(Ac) @ Pd.T
     # C = sup ||T u||_A^2 over ||u|| <= 1 in the inverse-M norm, i.e. the

@@ -25,7 +25,7 @@ from amgpoly.smoothers import (
     smoother_apply,
 )
 
-from conftest import linear_interp_1d, poisson2d_5pt, random_spd, tridiag
+from conftest import csr, linear_interp_1d, poisson2d_5pt, random_spd, to_dense, tridiag
 from oracles import (
     coefficient_roots,
     smoother_error_oracle,
@@ -166,12 +166,10 @@ def test_07_smoother_oracle_equivalence():
 
 def test_08_two_level_bound():
     t0 = time.perf_counter()
-    P1 = linear_interp_1d(16).to_dense()
-    from amgpoly.sparse import CsrMatrix
-
+    P1 = to_dense(linear_interp_1d(16))
     setups = [
         (tridiag(64), linear_interp_1d(64)),
-        (poisson2d_5pt(16), CsrMatrix.from_dense(np.kron(P1, P1))),
+        (poisson2d_5pt(16), csr(np.kron(P1, P1))),
     ]
     ok = True
     min_margin = math.inf

@@ -10,7 +10,7 @@ from amgpoly.problems import poisson3d
 from amgpoly.smoothers import PolySmootherConfig
 from amgpoly.sparse import CsrMatrix, spmv_count
 
-from conftest import random_spd, tridiag
+from conftest import csr, random_spd, to_dense, tridiag
 
 
 class TestConfig:
@@ -33,6 +33,26 @@ class TestSolve:
         assert rep.converged and rep.iterations == 1
         assert np.allclose(x, b, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["pcg", "fcg"])
+    def test_first_residual_is_the_scaled_b(self, variant, monkeypatch):
+        # r starts as b scaled into range, whose relative residual is exactly
+        # 1.0: one norm for ||b||, then one per iteration, and the caller's
+        # b is left as it was
+        A = tridiag(30)
+        b = np.linspace(-1.0, 3.0, 30) * 1e5
+        b0 = b.copy()
+        norm, norms = np.linalg.norm, []
+
+        def counted(v):
+            norms.append(len(v))
+            return norm(v)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        _, rep = solve(A, b, cfg=KrylovConfig(variant=variant))
+        assert rep.converged and rep.residual_history[0] == 1.0
+        assert b.tobytes() == b0.tobytes()
+        assert len(norms) == rep.iterations + 1
+
     def test_zero_rhs(self):
         x, rep = solve(tridiag(5), np.zeros(5))
         assert rep.converged and rep.iterations == 0
@@ -44,7 +64,7 @@ class TestSolve:
         rng = np.random.default_rng(8)
         Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
         vals = np.repeat([1.0, 2.0, 5.0], 10)
-        A = CsrMatrix.from_dense(Q @ np.diag(vals) @ Q.T)
+        A = csr(Q @ np.diag(vals) @ Q.T)
         _, rep = solve(A, np.ones(30), cfg=KrylovConfig(tol=1e-10, itmax=40))
         assert rep.converged
         assert rep.iterations <= 4
@@ -63,7 +83,7 @@ class TestSolve:
         assert rep.iterations == 3
 
     def test_breakdown_on_indefinite(self):
-        A = CsrMatrix.from_dense(np.diag([1.0, -1.0]))
+        A = csr(np.diag([1.0, -1.0]))
         _, rep = solve(A, np.array([1.0, 1.0]), cfg=KrylovConfig(tol=1e-12))
         assert rep.breakdown
         assert not rep.converged
@@ -140,7 +160,7 @@ class TestSolve:
 
     def test_a_norm_error_monotone(self):
         A = random_spd(25, seed=6)
-        Ad = A.to_dense()
+        Ad = to_dense(A)
         b = np.ones(25)
         x_star = np.linalg.solve(Ad, b)
         errs = []

@@ -21,7 +21,7 @@ from amgpoly.amg import matching_aggregate, sa_aggregate
 from amgpoly.problems import _q1_element_stiffness, aniso2d_q1, poisson3d
 from amgpoly.sparse import CsrMatrix
 
-from conftest import integer_m_matrices
+from conftest import csr, integer_m_matrices
 
 THETAS = (0.0, 0.01, 0.25, 0.5)
 SWEEPS = (1, 2, 3)
@@ -163,7 +163,8 @@ def poisson3d_coo(m):
 
 def assert_same_csr(P, Q):
     assert (P.nrows, P.ncols) == (Q.nrows, Q.ncols)
-    for a, b in ((P.row_ptr, Q.row_ptr), (P.col_idx, Q.col_idx), (P.values, Q.values)):
+    p, q = P.to_scipy(), Q.to_scipy()
+    for a, b in ((p.indptr, q.indptr), (p.indices, q.indices), (p.data, q.data)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -232,19 +233,19 @@ def mixed_sign_integer_matrix(n, seed):
     empty = rng.choice(n, n // 20, replace=False)
     A[empty, :] = 0.0
     A[:, empty] = 0.0
-    return CsrMatrix.from_scipy(A.tocsr())
+    return csr(A.tocsr())
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_matching_matches_loop_on_mixed_signs(seed):
     A = mixed_sign_integer_matrix(2400, seed)
     sp = A.to_scipy()
-    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
+    rows = np.repeat(np.arange(A.nrows), np.diff(sp.indptr))
     d = sp.diagonal()
-    w = 1.0 - 2.0 * A.values / (d[rows] + d[A.col_idx])
-    upper = A.col_idx > rows
+    w = 1.0 - 2.0 * sp.data / (d[rows] + d[sp.indices])
+    upper = sp.indices > rows
     assert np.any(w[upper] <= 0.0) and np.any(w[upper] > 0.0)
-    assert np.any(np.diff(A.row_ptr) == 0)
+    assert np.any(np.diff(sp.indptr) == 0)
     for sweeps in SWEEPS:
         assert_same_csr(matching_aggregate(A, sweeps), matching_aggregate_loop(A, sweeps))
 
@@ -255,7 +256,8 @@ def test_matching_bench_aggregates_pinned():
     # dependence
     P = matching_aggregate(poisson3d(48)[0], 3)
     digest = hashlib.sha256()
-    for a in (P.row_ptr.astype(np.int64), P.col_idx.astype(np.int64), P.values):
+    m = P.to_scipy()
+    for a in (m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data):
         digest.update(a.tobytes())
     assert (P.nrows, P.ncols) == (110592, 13824)
     assert digest.hexdigest() == (

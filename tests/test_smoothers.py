@@ -16,9 +16,17 @@ from amgpoly.smoothers import (
     smoother_apply,
     step_coefficients,
 )
-from amgpoly.sparse import CsrMatrix, spmv_count
+from amgpoly.sparse import spmv_count
 
-from conftest import build_with, evaluate_gamma_numeric, integer_m_matrices, random_spd, tridiag
+from conftest import (
+    build_with,
+    csr,
+    evaluate_gamma_numeric,
+    integer_m_matrices,
+    random_spd,
+    to_dense,
+    tridiag,
+)
 from oracles import (
     error_polynomial,
     error_polynomial_coeffs,
@@ -31,7 +39,7 @@ from oracles import (
 
 class TestL1Diag:
     def test_diagonal_matrix(self):
-        A = CsrMatrix.from_dense(np.diag([2.0, 5.0, 1.0]))
+        A = csr(np.diag([2.0, 5.0, 1.0]))
         assert np.array_equal(l1_jacobi_diag(A), [2.0, 5.0, 1.0])
 
     def test_tridiag_interior(self):
@@ -47,7 +55,7 @@ class TestL1Diag:
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
-            l1_jacobi_diag(CsrMatrix.from_dense([[0.0, 1.0], [1.0, 2.0]]))
+            l1_jacobi_diag(csr([[0.0, 1.0], [1.0, 2.0]]))
 
     @pytest.mark.parametrize("distribution", ["equispaced", "boundary", "gapped"])
     def test_spectral_operator_matches_dense_formula(self, distribution):
@@ -83,7 +91,7 @@ class TestL1Diag:
     @given(integer_m_matrices(), st.floats(0.1, 10.0))
     def test_bits_of_reduceat_on_m_matrices(self, A, c):
         # scaled by c, so that the row sums round
-        A = CsrMatrix.from_scipy(A.to_scipy() * c)
+        A = csr(A.to_scipy() * c)
         assert l1_jacobi_diag(A).tobytes() == l1_jacobi_diag_reduceat(A).tobytes()
 
     def test_spectral_operator_negative_eigenvalues_rejected(self):
@@ -94,7 +102,7 @@ class TestL1Diag:
         A = random_spd(30, seed=5)
         m = l1_jacobi_diag(A)
         s = 1.0 / np.sqrt(m)
-        w = np.linalg.eigvalsh(A.to_dense() * np.outer(s, s))
+        w = np.linalg.eigvalsh(to_dense(A) * np.outer(s, s))
         assert np.all(w > 0.0)
         assert np.max(w) <= 1.0 + 1e-12
 
@@ -138,7 +146,7 @@ class TestSmootherApply:
 
     def test_cheb4_degree1_closed_form(self):
         # M = A makes the scaled operator the identity: p_1(1) = -1/3
-        A = CsrMatrix.from_dense(np.diag([2.0, 3.0]))
+        A = csr(np.diag([2.0, 3.0]))
         M = np.array([2.0, 3.0])
         e0 = np.array([1.0, -2.0])
         cfg = PolySmootherConfig(family="cheb4", degree=1)
@@ -148,7 +156,7 @@ class TestSmootherApply:
     @pytest.mark.parametrize("k", [1, 2, 4, 6])
     def test_opt_cheb1_diagonal_decoupling(self, k):
         lam = np.array([0.05, 0.2, 0.5, 0.9, 1.0])
-        A = CsrMatrix.from_dense(np.diag(lam))
+        A = csr(np.diag(lam))
         M = np.ones(5)
         cfg = PolySmootherConfig(family="opt_cheb1", degree=k)
         e0 = np.array([1.0, -1.0, 2.0, 0.5, -0.25])
@@ -170,7 +178,7 @@ class TestSmootherApply:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a_norm_contraction(self, family, rng):
         A = random_spd(25, seed=2)
-        Ad = A.to_dense()
+        Ad = to_dense(A)
         M = l1_jacobi_diag(A)
         cfg = PolySmootherConfig(family=family, degree=3)
         e0 = rng.standard_normal(25)
