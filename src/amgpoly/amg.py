@@ -316,7 +316,8 @@ def coarse_sweep_matrix(A, M, sweeps):
         x += d
         if j < sweeps - 1:
             r -= Asp @ d
-    return CsrMatrix._adopt(scipy.sparse.csr_matrix((x + x.T) * 0.5))
+    # dense -> CSR stores only the nonzeros, in column order: canonical as it stands
+    return CsrMatrix._wrap(scipy.sparse.csr_matrix((x + x.T) * 0.5))
 
 
 def build_hierarchy(A, coarsening="smoothed_aggregation", smoother=None):
@@ -378,7 +379,7 @@ def build_hierarchy(A, coarsening="smoothed_aggregation", smoother=None):
             stagnated = 0
         lam = estimate_lambda_max(Al)
         P = smooth_prolongator(Al, P_hat, 4.0 / (3.0 * lam))
-        R = CsrMatrix._adopt(P.to_scipy().T.tocsr())
+        R = CsrMatrix._wrap(P.to_scipy().T.tocsr())  # canonical and zero-free, as P is
         levels.append(Level(A=Al, M=Ml, P=P, R=R))
         Al = galerkin_rap(Al, P, R)
         Ml = l1_jacobi_diag(Al)

@@ -3,9 +3,12 @@
 ``CsrMatrix`` is one scipy CSR matrix with sorted, duplicate-free columns,
 checked once, where it enters: the generators in ``problems`` and
 ``identity`` go through the constructor, which runs scipy's own
-validators.  A matrix the library builds from checked ones (a setup
-product, canonicalized in place by ``_adopt``, a tentative prolongator, a
-float32 twin) is wrapped unchecked by ``_wrap``.
+validators.  A matrix the library builds from checked ones is wrapped
+unchecked by ``_wrap``: a tentative prolongator, a float32 twin, a
+restriction P^T (scipy's transpose of a canonical, zero-free P is one too),
+the coarse sweeps' S (scipy's dense -> CSR conversion stores only the
+nonzeros, in column order) and a setup product once ``_adopt`` has
+canonicalized it in place.
 Its values are float64; only ``float32_twin`` makes a float32 copy
 (``amg.as_vcycle_preconditioner`` is its caller), storing 0.0 for entries
 below float32's resolution in their row, and ``spmv`` runs in the matrix's

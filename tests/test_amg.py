@@ -231,6 +231,18 @@ class TestGalerkinRap:
         assert to_dense(Ac).tobytes() == ref.toarray().tobytes()
 
 
+def assert_canonical_and_zero_free(A):
+    """A's CSR arrays have sorted, duplicate-free columns and store no zero.
+
+    The format is checked on a fresh matrix over the same arrays, so that a
+    flag scipy cached on A cannot answer for them.
+    """
+    m = A.to_scipy()
+    fresh = scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    assert fresh.has_canonical_format
+    assert np.all(m.data != 0)
+
+
 class TestBuildHierarchy:
     def test_single_level_small(self):
         A = csr([[4.0]])
@@ -248,6 +260,8 @@ class TestBuildHierarchy:
         h = build_with(A, MIN_COARSE_SIZE=20)
         for fine, coarse in zip(h.levels, h.levels[1:]):
             assert np.array_equal(to_dense(fine.R), to_dense(fine.P).T)
+            assert_canonical_and_zero_free(fine.P)
+            assert_canonical_and_zero_free(fine.R)
             r, p = fine.R.to_scipy(), fine.P.to_scipy()
             for a in (r.indptr, r.indices, r.data):  # R is P^T's own copy
                 assert not any(np.shares_memory(a, b) for b in (p.indptr, p.indices, p.data))
@@ -433,11 +447,13 @@ SMOKE_HIERARCHIES = {
 
 
 def assert_s_is_the_sweeps(h):
-    """S e_j is the coarse sweeps' e_j within 1e-12 relative, for every j, and S is bitwise symmetric."""
+    """S e_j is the coarse sweeps' e_j within 1e-12 relative, for every j, and S is
+    bitwise symmetric, canonical and zero-free."""
     coarse = h.levels[-1]
     S = coarse.S
     n = coarse.A.nrows
     assert (S.nrows, S.ncols) == (n, n)
+    assert_canonical_and_zero_free(S)
     assert to_dense(S).tobytes() == to_dense(S).T.tobytes()
     for j, e in enumerate(np.eye(n)):
         want = smoother_apply(h.coarse_smoother, coarse.A, coarse.M, e)
