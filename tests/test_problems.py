@@ -49,11 +49,9 @@ class TestBenchOperatorsPinned:
 class TestAssemblyMemory:
     """Traced peak of a generator call as a multiple of the bytes it returns.
 
-    The element-triplet and COO assemblies peaked at 7.6x (aniso2d m=128)
-    and 5.2x (poisson3d m=32), and hand-written CSR assembly at 2.29x and
-    1.10x.  Handing the diagonals to ``scipy.sparse.diags`` reads 2.23x and
-    1.87x with scipy 1.17: the DIA data, seven or nine length-n rows, lives
-    beside the CSR arrays it converts into.
+    Both generators write their CSR arrays directly.  aniso2d m=128 reads
+    2.29x: its (n, 9) stencil, keep mask and column arrays live beside the
+    CSR arrays they fill; poisson3d m=32 reads 1.10x.
     """
 
     def test_aniso2d_m128(self):
