@@ -125,7 +125,6 @@ _SOLVE_KEYS = {
     "coarsening": ("smoothed_aggregation", str),
     "smoother": ("opt_cheb1", str),
     "degree": ("4", int),
-    "variant": ("pcg", str),
     "tol": ("1e-7", float),
     "itmax": ("1000", int),
 }
@@ -186,7 +185,7 @@ def run_solve(cfg):
         raise ConfigError(f"unknown coarsening kind {v['coarsening']!r}")
     try:
         smoother = PolySmootherConfig(family=v["smoother"], degree=v["degree"])
-        kcfg = KrylovConfig(variant=v["variant"], tol=v["tol"], itmax=v["itmax"])
+        kcfg = KrylovConfig(tol=v["tol"], itmax=v["itmax"])
         A, b = build_problem(v)
         hierarchy = build_hierarchy(A, coarsening=v["coarsening"], smoother=smoother)
     except ValueError as exc:
@@ -224,7 +223,7 @@ def cmd_spectrum_grid(args):
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
         degrees = [int(s) for s in args.degrees.split(",")]
-        cfg = KrylovConfig(variant="pcg", tol=args.tol, itmax=args.itmax, record_history=False)
+        cfg = KrylovConfig(tol=args.tol, itmax=args.itmax, record_history=False)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if any(n < 2 or n % 2 or n > MAX_DENSE_N for n in sizes):

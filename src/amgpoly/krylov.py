@@ -1,4 +1,8 @@
-"""Preconditioned conjugate gradient solvers (classical PCG and flexible FCG).
+"""Preconditioned conjugate gradients (PCG) for SPD systems.
+
+Every preconditioner the library builds (a V-cycle, a polynomial smoother)
+is fixed, symmetric and linear, the case plain PCG is made for, so there
+is no flexible variant.
 
 The stopping test uses the relative residual ||b - A x|| / ||b||, the only
 computable proxy for the error tolerance quoted with the benchmark runs.
@@ -19,14 +23,11 @@ import numpy as np
 
 @dataclass
 class KrylovConfig:
-    variant: str = "pcg"  # pcg | fcg
     tol: float = 1e-7
     itmax: int = 1000
     record_history: bool = True
 
     def __post_init__(self):
-        if self.variant not in ("pcg", "fcg"):
-            raise ValueError(f"unknown Krylov variant {self.variant!r}")
         if not 0.0 < self.tol < math.inf or self.itmax < 1:  # NaN fails too
             raise ValueError("tol must be finite and positive and itmax >= 1")
 
@@ -46,13 +47,12 @@ def solve(A, b, precond=None, cfg=None):
     """Solve SPD A x = b from x = 0; returns (x, SolveReport).
 
     ``precond`` is a callable r -> z applying a fixed SPD preconditioner (or
-    None for plain CG).  The flexible variant re-orthogonalizes each new
-    direction against the previous one only, which tolerates mildly variable
-    preconditioning; with a fixed preconditioner both variants coincide up
-    to roundoff.  A curvature d'Ad that is not finite and positive, an r'z
-    that is not (the first one in either variant, each one in pcg; r'z <= 0
-    means the preconditioner is not SPD), or a non-finite residual norm
-    ends the solve with ``breakdown`` set.
+    None for plain CG); it may return r itself.  Each iteration starts by
+    testing the residual against ``tol``, then applies the preconditioner,
+    so a solve that stops at ``itmax`` has applied it ``itmax`` times.  An
+    r'z that is not finite and positive (r'z <= 0 means the preconditioner
+    is not SPD), a curvature d'Ad that is not, or a non-finite residual
+    norm ends the solve with ``breakdown`` set.
     So does a NaN or +-inf in b, at iteration 0 and before any SpMV or
     preconditioner call, with ``final_relres`` NaN.
     """
@@ -90,45 +90,29 @@ def solve(A, b, precond=None, cfg=None):
     if cfg.record_history:
         history.append(relres)
 
-    if relres <= cfg.tol:
-        return report(0, True)
-
-    apply_prec = precond if precond is not None else (lambda v: v.copy())
-    z = apply_prec(r)
-    pc += 1
-    d = z.copy()
-    rz = float(r @ z)
-    if not 0.0 < rz < math.inf:  # NaN fails the comparison too
-        return report(0, False, breakdown=True)
-
-    for it in range(1, cfg.itmax + 1):
+    apply_prec = precond if precond is not None else (lambda v: v)
+    for it in range(cfg.itmax):  # it iterations done
+        if relres <= cfg.tol:
+            return report(it, True)
+        z = apply_prec(r)
+        pc += 1
+        rz_new = float(r @ z)
+        if not 0.0 < rz_new < math.inf:  # NaN fails the comparison too
+            return report(it, False, breakdown=True)
+        # the first d is a copy: a preconditioner may return r itself
+        d = z.copy() if it == 0 else z + (rz_new / rz) * d
+        rz = rz_new
         Ad = A.matvec(d)
         spmv += 1
         dAd = float(d @ Ad)
-        if not 0.0 < dAd < math.inf:  # NaN fails the comparison too
-            return report(it - 1, False, breakdown=True)
-        alpha = rz / dAd if cfg.variant == "pcg" else float(r @ d) / dAd
+        if not 0.0 < dAd < math.inf:
+            return report(it, False, breakdown=True)
+        alpha = rz / dAd
         x += alpha * d
         r -= alpha * Ad
         relres = np.linalg.norm(r) / bnorm
         if cfg.record_history:
             history.append(relres)
-        if relres <= cfg.tol:
-            return report(it, True)
         if not math.isfinite(relres):
-            return report(it, False, breakdown=True)
-        z = apply_prec(r)
-        pc += 1
-        if cfg.variant == "pcg":
-            rz_new = float(r @ z)
-            if not 0.0 < rz_new < math.inf:
-                return report(it, False, breakdown=True)
-            beta = rz_new / rz
-            rz = rz_new
-            d = z + beta * d
-        else:
-            # one-direction orthogonalization: make the new direction
-            # A-orthogonal to the previous one
-            beta = float(z @ Ad) / dAd
-            d = z - beta * d
-    return report(cfg.itmax, False)
+            return report(it + 1, False, breakdown=True)
+    return report(cfg.itmax, bool(relres <= cfg.tol))

@@ -111,6 +111,9 @@ def aniso2d_q1(m, epsilon, angle):
     without the eliminated row's columns and without exact zeros.  Each entry
     and each load sums its element terms in increasing element index, the
     order in which an element-by-element triplet assembly adds them.
+    Every entry of ``ke`` enters the interior stencil, so a ``ke`` or a
+    stencil that overflows float64 is one ``ValueError``, raised without a
+    warning.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -118,14 +121,17 @@ def aniso2d_q1(m, epsilon, angle):
     c, s = math.cos(angle), math.sin(angle)
     R = np.array([[c, -s], [s, c]])
     K = R @ np.diag([1.0, epsilon]) @ R.T
-    ke = _q1_element_stiffness(K, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, without a warning
+        stencils = _q1_stencils(_q1_element_stiffness(K, h))
+    if not np.isfinite(stencils).all():
+        raise ValueError("the Q1 element stiffness or stencils overflow float64")
 
     nx = m + 1
     n = nx * m  # node rows y = 1..m of the nx x nx grid, x fastest
     itype = _index_dtype(9 * n)
     cls = np.ones(nx, dtype=np.intp)
     cls[0], cls[-1] = 0, 2
-    stencil = _q1_stencils(ke)[cls[1:, None], cls[None, :]]  # (m, nx, 3, 3)
+    stencil = stencils[cls[1:, None], cls[None, :]]  # (m, nx, 3, 3)
     stencil[0, :, 0, :] = 0.0  # y = 1 couples south only to the eliminated row
     stencil = stencil.reshape(n, 9)
     keep = stencil != 0.0

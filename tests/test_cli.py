@@ -75,7 +75,6 @@ class TestConfigParsing:
         cli_only = {"problem": "poisson3d", "m": 8, "epsilon": 1.0, "angle": 0.0}
         library = {
             "coarsening": hierarchy["coarsening"].default,
-            "variant": krylov["variant"],
             "tol": krylov["tol"],
             "itmax": krylov["itmax"],
             "smoother": smoother["family"],
@@ -92,7 +91,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "bogus=1", "coarse_solver=l1_jacobi", "prolongator_smoothing=true",
         "strength_theta=0.01", "matching_sweeps=3", "n=64", "distribution=equispaced",
-        "coarse_sweeps=30", "min_coarse_size=200", "max_levels=10", "foo",
+        "coarse_sweeps=30", "min_coarse_size=200", "max_levels=10", "variant=pcg",
+        "variant=fcg", "foo",
     ])
     def test_config_error_is_2(self, override, capsys):
         assert main(["solve", "--override", override]) == EXIT_CONFIG
@@ -150,6 +150,7 @@ class TestExitCodes:
         ("angle=nan", "angle: must be finite"),
         ("angle=inf", "angle: must be finite"),
         ("epsilon=1e308", "row sums overflow"),  # entries up to 1.3e308 are finite
+        ("epsilon=1.7e308", "stencils overflow float64"),
     ])
     def test_degenerate_aniso2d_coefficient_is_2(self, override, message, capsys):
         args = ["solve", "--override", "problem=aniso2d", "--override", "m=8",
