@@ -2,8 +2,7 @@
 """Run the benchmark experiment suite and collect CSV/JSON outputs.
 
 Produces, under --outdir (default ./results):
-  params.csv         per-degree optimal parameters and analytic bounds
-  bounds.csv         smoothing-constant comparison of the three families
+  params.csv         per-degree optimal parameters, analytic bounds and crossover
   spectrum_grid.csv  smoother-only PCG iteration grid over synthetic spectra
   solves.csv         AMG-PCG iteration counts across problems and smoothers
 
@@ -51,8 +50,6 @@ def main():
 
     cli_main(["optimize", "--kmax", "20", "-o", str(outdir / "params.csv")])
     print("wrote params.csv")
-    cli_main(["bounds", "--kmax", "12", "-o", str(outdir / "bounds.csv")])
-    print("wrote bounds.csv")
     cli_main([
         "spectrum-grid",
         "--sizes", "64,128,256",

@@ -2,8 +2,7 @@
 
 Subcommands
 -----------
-optimize       CSV of per-degree smoother parameters and bounds
-bounds         CSV comparing the three smoothing-constant series
+optimize       CSV of per-degree smoother parameters, bounds and crossover
 solve          AMG-PCG run from a flat key=value config file, JSON report
 spectrum-grid  iteration-count grid for polynomial-preconditioned CG
 
@@ -69,11 +68,11 @@ def _output(path):
             yield out
 
 
-# -- optimize / bounds -------------------------------------------------------
+# -- optimize ----------------------------------------------------------------
 
 PARAMS_HEADER = [
     "k", "a_star", "lambda_k", "gamma_cheb4", "gamma_opt4",
-    "a_lower", "a_upper", "lam_lower", "lam_upper",
+    "a_lower", "a_upper", "lam_lower", "lam_upper", "crossover",
 ]
 
 
@@ -83,20 +82,6 @@ def cmd_optimize(args):
     rows = [[r[h] for h in PARAMS_HEADER] for r in params_csv_rows(args.kmax)]
     with _output(args.output) as out:
         _write_rows(out, PARAMS_HEADER, rows)
-    return EXIT_OK
-
-
-def cmd_bounds(args):
-    if not 0 <= args.kmax <= 12:
-        raise ConfigError("kmax must lie in 0..12")
-    header = ["k", "gamma_cheb4", "lambda_1st", "gamma_opt4", "crossover"]
-    rows = [
-        [r["k"], r["gamma_cheb4"], r["lambda_k"], r["gamma_opt4"],
-         int(r["lambda_k"] < r["gamma_cheb4"])]
-        for r in params_csv_rows(args.kmax)
-    ]
-    with _output(args.output) as out:
-        _write_rows(out, header, rows)
     return EXIT_OK
 
 
@@ -131,8 +116,11 @@ _SOLVE_KEYS = {
 
 
 def parse_config(path, overrides):
-    """Each key's raw string from a flat key=value config with # comments; overrides win."""
-    cfg = {key: default for key, (default, _) in _SOLVE_KEYS.items()}
+    """Each key's raw string from a flat key=value config with # comments.
+
+    A key may appear once in the file; overrides win over the file, and a
+    later override over an earlier one.
+    """
     seen = {}
     if path is not None:
         try:
@@ -143,8 +131,10 @@ def parse_config(path, overrides):
                         continue
                     if "=" not in line:
                         raise ConfigError(f"{path}:{lineno}: expected key = value")
-                    key, _, val = line.partition("=")
-                    seen[key.strip()] = val.strip()
+                    key, _, val = (s.strip() for s in line.partition("="))
+                    if key in seen:
+                        raise ConfigError(f"{path}:{lineno}: {key!r} is set twice")
+                    seen[key] = val
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides or []:
@@ -152,22 +142,23 @@ def parse_config(path, overrides):
             raise ConfigError(f"override {item!r}: expected key=value")
         key, _, val = item.partition("=")
         seen[key.strip()] = val.strip()
-    for key, val in seen.items():
-        if key not in cfg:
+    for key in seen:
+        if key not in _SOLVE_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = val
-    return cfg
+    return {key: default for key, (default, _) in _SOLVE_KEYS.items()} | seen
+
+
+def _parsed(name, parse, text):
+    """``parse(text)``, with a ValueError turned into a config error naming ``name``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def parse_values(cfg):
     """Every key's value parsed, whether or not the problem reads it."""
-    values = {}
-    for key, (_, parse) in _SOLVE_KEYS.items():
-        try:
-            values[key] = parse(cfg[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-    return values
+    return {key: _parsed(key, parse, cfg[key]) for key, (_, parse) in _SOLVE_KEYS.items()}
 
 
 def build_problem(values):
@@ -220,9 +211,9 @@ GRID_DISTRIBUTIONS = ("equispaced", "boundary", "gapped")
 
 
 def cmd_spectrum_grid(args):
+    sizes = [_parsed("sizes", int, s) for s in args.sizes.split(",")]
+    degrees = [_parsed("degrees", int, s) for s in args.degrees.split(",")]
     try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-        degrees = [int(s) for s in args.degrees.split(",")]
         cfg = KrylovConfig(tol=args.tol, itmax=args.itmax, record_history=False)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -264,11 +255,6 @@ def make_parser():
     po.add_argument("--kmax", type=int, required=True)
     po.add_argument("--output", "-o", default=None)
     po.set_defaults(func=cmd_optimize)
-
-    pb = sub.add_parser("bounds", help="smoothing-constant comparison CSV")
-    pb.add_argument("--kmax", type=int, required=True)
-    pb.add_argument("--output", "-o", default=None)
-    pb.set_defaults(func=cmd_bounds)
 
     ps = sub.add_parser("solve", help="AMG-PCG run from a key=value config")
     ps.add_argument("--config", default=None)

@@ -318,13 +318,16 @@ def params_csv_rows(kmax):
     """The per-degree table for k = 1..kmax, one dict per degree.
 
     Keys: ``k``, ``a_star``, ``lambda_k``, ``gamma_cheb4``, ``gamma_opt4``
-    (NaN past the shipped tables) and the ``theorem_bounds`` ``a_lower``,
-    ``a_upper``, ``lam_lower``, ``lam_upper`` (NaN for k < 3).
+    (NaN past the shipped tables), the ``theorem_bounds`` ``a_lower``,
+    ``a_upper``, ``lam_lower``, ``lam_upper`` (NaN for k < 3) and
+    ``crossover``, 1 where the first kind's Lambda_k lies below the fourth
+    kind's constant and 0 elsewhere.
     """
     betas = load_beta_tables()
     rows = []
     for k in range(1, kmax + 1):
         a = solve_a_star(k)
+        lam, g4 = lambda_of(k, a), gamma_cheb4(k)
         a_lower, a_upper, lam_lower, lam_upper = (
             theorem_bounds(k) if k >= 3 else (math.nan,) * 4
         )
@@ -332,13 +335,14 @@ def params_csv_rows(kmax):
             {
                 "k": k,
                 "a_star": a,
-                "lambda_k": lambda_of(k, a),
-                "gamma_cheb4": gamma_cheb4(k),
+                "lambda_k": lam,
+                "gamma_cheb4": g4,
                 "gamma_opt4": betas[k].gamma_value if k in betas else math.nan,
                 "a_lower": a_lower,
                 "a_upper": a_upper,
                 "lam_lower": lam_lower,
                 "lam_upper": lam_upper,
+                "crossover": int(lam < g4),
             }
         )
     return rows

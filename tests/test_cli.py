@@ -43,6 +43,20 @@ class TestConfigParsing:
         assert cfg["problem"] == "aniso2d"
         assert cfg["m"] == "32"
 
+    def test_later_override_wins(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("m = 16\n")
+        assert parse_config(str(p), ["m=32", "m=4"])["m"] == "4"
+
+    def test_key_set_twice_in_file_rejected(self, tmp_path, capsys):
+        p = tmp_path / "twice.cfg"
+        p.write_text("m = 6\n# comment\nm = 7\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(p), [])
+        assert str(exc.value) == f"{p}:3: 'm' is set twice"
+        assert main(["solve", "--config", str(p)]) == EXIT_CONFIG
+        assert "'m' is set twice" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(None, ["nonsense=1"])
@@ -172,15 +186,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args, message", [
         (["optimize", "--kmax", "99"], "kmax must lie in 0..30"),
-        (["bounds", "--kmax", "13"], "kmax must lie in 0..12"),
-    ], ids=["optimize", "bounds"])
+    ], ids=["optimize"])
     def test_bad_kmax_is_2(self, args, message, capsys):
         assert main(args) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["optimize", "--kmax", "2"],
-        ["bounds", "--kmax", "2"],
         ["solve", "--override", "m=4"],
         ["spectrum-grid", "--sizes", "4", "--degrees", "1"],
     ], ids=lambda a: a[0])
@@ -201,6 +213,7 @@ class TestOptimizeCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("k,a_star,lambda_k")
+        assert lines[0].endswith(",crossover")
 
     def test_reference_digits(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -210,52 +223,34 @@ class TestOptimizeCommand:
         assert float(rows[0]["a_star"]) == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert float(rows[3]["a_star"]) == pytest.approx(0.0820780659590383, abs=1e-12)
 
+    def test_k4_row_and_crossover(self, tmp_path):
+        out = tmp_path / "o.csv"
+        main(["optimize", "--kmax", "30", "-o", str(out)])
+        rows = {int(r["k"]): r for r in csv.DictReader(out.open())}
+        assert float(rows[4]["gamma_cheb4"]) == pytest.approx(0.0375)
+        assert float(rows[4]["lambda_k"]) == pytest.approx(0.0364585625794908, rel=1e-9)
+        assert float(rows[4]["gamma_opt4"]) == pytest.approx(0.0310912041257632, rel=2e-2)
+        # strict crossover holds through k=4; at k=5 the two series are within
+        # one part in a hundred of each other and the first kind is above, and
+        # it stays above through the CLI's last degree, so a change to
+        # Lambda_k's last digits must flip no cell of the column
+        assert [rows[k]["crossover"] for k in range(1, 31)] == ["1"] * 4 + ["0"] * 26
+        for r in rows.values():
+            crossover = float(r["lambda_k"]) < float(r["gamma_cheb4"])
+            assert r["crossover"] == str(int(crossover))
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["optimize", "--kmax", "6", "-o", str(a)])
         main(["optimize", "--kmax", "6", "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-
-class TestBoundsCommand:
-    def test_k4_row_and_crossover(self, tmp_path):
-        out = tmp_path / "b.csv"
-        main(["bounds", "--kmax", "12", "-o", str(out)])
-        rows = {int(r["k"]): r for r in csv.DictReader(out.open())}
-        assert float(rows[4]["gamma_cheb4"]) == pytest.approx(0.0375)
-        assert float(rows[4]["lambda_1st"]) == pytest.approx(
-            0.0364585625794908, rel=1e-9
-        )
-        assert float(rows[4]["gamma_opt4"]) == pytest.approx(
-            0.0310912041257632, rel=2e-2
-        )
-        assert rows[1]["crossover"] == "1"
-        # strict crossover holds through k=4; at k=5 the two series are within
-        # one part in a hundred of each other and the first kind is above, and
-        # it stays above through the CLI's last degree, so a change to
-        # Lambda_k's last digits must flip no cell of the column
-        assert [rows[k]["crossover"] for k in range(1, 13)] == ["1"] * 4 + ["0"] * 8
-
-    def test_columns_match_optimize(self, tmp_path):
-        b, o = tmp_path / "b.csv", tmp_path / "o.csv"
-        main(["bounds", "--kmax", "12", "-o", str(b)])
-        main(["optimize", "--kmax", "12", "-o", str(o)])
-        bounds = list(csv.DictReader(b.open()))
-        params = list(csv.DictReader(o.open()))
-        assert [r["k"] for r in bounds] == [str(k) for k in range(1, 13)]
-        for rb, ro in zip(bounds, params, strict=True):
-            assert rb["k"] == ro["k"]
-            assert rb["gamma_cheb4"] == ro["gamma_cheb4"]
-            assert rb["lambda_1st"] == ro["lambda_k"]
-            assert rb["gamma_opt4"] == ro["gamma_opt4"]
-            crossover = float(ro["lambda_k"]) < float(ro["gamma_cheb4"])
-            assert rb["crossover"] == str(int(crossover))
-
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["bounds", "--kmax", "5", "-o", str(a)])
-        main(["bounds", "--kmax", "5", "-o", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+    def test_bounds_command_is_gone(self, capsys):
+        # optimize prints every column it printed, crossover included
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--kmax", "12"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'bounds'" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -427,10 +422,15 @@ class TestSpectrumGridCommand:
         ["--sizes", "4,4", "--degrees", "1"],
         ["--sizes", "16", "--degrees", "2,1,2"],
         ["--sizes", "16", "--degrees", "0"],
+        ["--sizes", "16", "--degrees", "1,x"],
     ])
     def test_bad_values_are_config_errors(self, extra, capsys):
         assert main(["spectrum-grid"] + extra) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for option, value in zip(extra[::2], extra[1::2]):
+            if "x" in value:  # a malformed entry names its option
+                assert err.startswith(f"error: {option[2:]}: invalid literal")
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["spectrum-grid", "--sizes", "16", "--degrees", "1,2,3"]

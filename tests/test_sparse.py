@@ -443,7 +443,7 @@ def test_no_submodule_uses_numpy_polynomial():
 @pytest.mark.parametrize("argv", [
     ["solve", "--override", "m=4"],
     ["spectrum-grid", "--sizes", "8", "--degrees", "1,2"],
-    ["bounds", "--kmax", "12"],
+    ["optimize", "--kmax", "12"],
 ], ids=lambda a: a[0])
 def test_cli_leaves_scipy_optimize_unloaded(argv):
     # importing it costs about 0.45 s; only optimize_beta needs it
