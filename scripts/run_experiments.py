@@ -7,6 +7,7 @@ Produces, under --outdir (default ./results):
   solves.csv         AMG-PCG iteration counts across problems and smoothers
 
 Everything is deterministic; re-running overwrites byte-identical files.
+The script stops at the first command that fails and exits with its code.
 """
 
 import argparse
@@ -48,16 +49,19 @@ def main():
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    cli_main(["optimize", "--kmax", "20", "-o", str(outdir / "params.csv")])
-    print("wrote params.csv")
-    cli_main([
-        "spectrum-grid",
-        "--sizes", "64,128,256",
-        "--degrees", "1,2,3,4,5,6,7,8",
-        "--tol", "1e-5",
-        "-o", str(outdir / "spectrum_grid.csv"),
-    ])
-    print("wrote spectrum_grid.csv")
+    for name, argv in [
+        ("params.csv", ["optimize", "--kmax", "20"]),
+        ("spectrum_grid.csv", [
+            "spectrum-grid",
+            "--sizes", "64,128,256",
+            "--degrees", "1,2,3,4,5,6,7,8",
+            "--tol", "1e-5",
+        ]),
+    ]:
+        code = cli_main(argv + ["-o", str(outdir / name)])
+        if code:
+            return code  # cli_main has printed the error
+        print(f"wrote {name}")
 
     with open(outdir / "solves.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -80,7 +84,8 @@ def main():
                 print(f"{case} {family} k={degree}: "
                       f"{report['solve']['iterations']} iterations")
     print("wrote solves.csv")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -222,23 +222,21 @@ def matching_aggregate(A, sweeps):
         keep = w > 0.0
         order = np.argsort(-w[keep], kind="stable")
         row, col = row[keep][order], col[keep][order]
-        mate = np.full(n, -1, dtype=np.int64)
-        matched = [False] * n
+        matched = bytearray(n)
+        taken = np.frombuffer(matched, dtype=bool)  # a view: sees the loop's writes
+        pi, pj = [], []  # the pairs' lower and upper rows
         block = max(n, 1024)
         for start in range(0, len(row), block):
             bi, bj = row[start:start + block], col[start:start + block]
-            live = (mate[bi] < 0) & (mate[bj] < 0)
-            pi, pj = [], []
+            live = ~(taken[bi] | taken[bj])
             for i, j in zip(bi[live].tolist(), bj[live].tolist()):
                 if not (matched[i] or matched[j]):
                     matched[i] = matched[j] = True
                     pi.append(i)
                     pj.append(j)
-            mate[pi] = pj
-            mate[pj] = pi
-        idx = np.arange(n)
-        rep = np.where(mate < 0, idx, np.minimum(idx, mate))
-        is_rep = rep == idx
+        rep = np.arange(n)
+        rep[pj] = pi
+        is_rep = rep == np.arange(n)
         new_idx = (np.cumsum(is_rep) - 1)[rep]
         nc = int(np.count_nonzero(is_rep))
         agg = new_idx[agg]

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .sparse import CsrMatrix
 
@@ -21,39 +22,28 @@ from .sparse import CsrMatrix
 MAX_DENSE_N = 1024
 
 
-def _index_dtype(max_nnz):
-    """The index dtype scipy would pick for a matrix of up to ``max_nnz`` entries."""
-    return np.int32 if max_nnz < 2**31 else np.int64
-
-
 def poisson3d(m):
     """7-point Poisson on the unit cube, homogeneous Dirichlet eliminated.
 
     Returns the m^3 x m^3 matrix (diagonal 6, -1 per grid neighbor) and the
-    all-ones right-hand side.  Each row's columns -m^2, -m, -1, 0, 1, m, m^2
-    (those inside the cube) are written straight into the CSR arrays, in
-    increasing order.
+    all-ones right-hand side.  The matrix is its seven diagonals, at offsets
+    -m^2, -m, -1, 0, 1, m, m^2, with 0.0 where the neighbor lies outside the
+    cube; scipy's DIA -> CSR conversion drops those zeros and writes each
+    row's columns in increasing order.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     n = m**3
-    itype = _index_dtype(7 * n)
-    has_lo, has_hi = np.arange(m) > 0, np.arange(m) < m - 1
-    # keep[iz, iy, ix, k]: offset k of node (ix, iy, iz) lies inside the cube
-    keep = np.ones((m, m, m, 7), dtype=bool)
-    for axis, (lo, hi) in enumerate(((0, 6), (1, 5), (2, 4))):
-        shape = [1, 1, 1]
-        shape[axis] = m
-        keep[..., lo] = has_lo.reshape(shape)
-        keep[..., hi] = has_hi.reshape(shape)
-    keep = keep.reshape(n, 7)
-    ptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=ptr[1:])
-    offsets = np.array([-m * m, -m, -1, 0, 1, m, m * m], dtype=itype)
-    cols = (np.arange(n, dtype=itype)[:, None] + offsets)[keep]
-    vals = np.full(len(cols), -1.0)
-    vals[ptr[:-1] + np.count_nonzero(keep[:, :3], axis=1)] = 6.0
-    return CsrMatrix(n, n, ptr, cols, vals), np.ones(n)
+    upper = []  # entry i of the band at offset k couples nodes i and i + k
+    for axis, k in ((2, 1), (1, m), (0, m * m)):  # [iz, iy, ix]: x fastest
+        band = np.full((m, m, m), -1.0)
+        np.moveaxis(band, axis, 0)[-1] = 0.0  # the last grid plane has no +k neighbor
+        upper.append(band.ravel()[:n - k])
+    bands = upper[::-1] + [np.full(n, 6.0)] + upper
+    # ascending, so that a conversion that keeps the offsets' order sorts each row
+    offsets = [-m * m, -m, -1, 0, 1, m, m * m]
+    A = scipy.sparse.diags(bands, offsets, shape=(n, n), format="csr")
+    return CsrMatrix(n, n, A.indptr, A.indices, A.data), np.ones(n)
 
 
 def _q1_element_stiffness(K, h):
@@ -107,10 +97,12 @@ def aniso2d_q1(m, epsilon, angle):
     load comes from f(x,y) = exp(-100(x^2+y^2)) by centroid quadrature.
 
     Every element has the same stiffness ``ke``, so each row is its node
-    class's stencil (``_q1_stencils``), written straight into the CSR arrays
-    without the eliminated row's columns and without exact zeros.  Each entry
-    and each load sums its element terms in increasing element index, the
-    order in which an element-by-element triplet assembly adds them.
+    class's stencil (``_q1_stencils``), and the matrix is the stencils' nine
+    diagonals; a coupling to the eliminated row or past the grid's edge is
+    0.0, which scipy's DIA -> CSR conversion drops with the other exact
+    zeros.  Each entry and each load sums its element terms in increasing
+    element index, the order in which an element-by-element triplet assembly
+    adds them, so both keep that assembly's bits.
     Every entry of ``ke`` enters the interior stencil, so a ``ke`` or a
     stencil that overflows float64 is one ``ValueError``, raised without a
     warning.
@@ -128,18 +120,15 @@ def aniso2d_q1(m, epsilon, angle):
 
     nx = m + 1
     n = nx * m  # node rows y = 1..m of the nx x nx grid, x fastest
-    itype = _index_dtype(9 * n)
     cls = np.ones(nx, dtype=np.intp)
     cls[0], cls[-1] = 0, 2
     stencil = stencils[cls[1:, None], cls[None, :]]  # (m, nx, 3, 3)
     stencil[0, :, 0, :] = 0.0  # y = 1 couples south only to the eliminated row
     stencil = stencil.reshape(n, 9)
-    keep = stencil != 0.0
-    ptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=ptr[1:])
-    offsets = (np.array([-nx, 0, nx])[:, None] + np.array([-1, 0, 1])).ravel().astype(itype)
-    cols = (np.arange(n, dtype=itype)[:, None] + offsets)[keep]
-    vals = stencil[keep]
+    offsets = [dy * nx + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]  # ascending (see poisson3d)
+    # column k at offset o: rows max(-o, 0) .. n - max(o, 0) - 1
+    bands = [stencil[max(-o, 0):n - max(o, 0), k] for k, o in enumerate(offsets)]
+    A = scipy.sparse.diags(bands, offsets, shape=(n, n), format="csr")
 
     # element (ei, ej) sits at fe[ej + 1, ei + 1], padded with a ring of zeros
     centers = -1.0 + (np.arange(m) + 0.5) * h
@@ -153,7 +142,7 @@ def aniso2d_q1(m, epsilon, angle):
     load = fe[1:-1, :-1] + fe[1:-1, 1:]
     load += fe[2:, :-1]
     load += fe[2:, 1:]
-    return CsrMatrix(n, n, ptr, cols, vals), load.ravel()
+    return CsrMatrix(n, n, A.indptr, A.indices, A.data), load.ravel()
 
 
 @dataclass

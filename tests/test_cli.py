@@ -4,6 +4,8 @@ import inspect
 import json
 import pathlib
 import runpy
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -350,9 +352,8 @@ class TestSolveCommand:
 # The AMG-PCG solves of scripts/run_experiments.py, read from the script's own
 # tables, with their exact iteration counts; a kernel change that costs an
 # iteration anywhere fails here.
-_EXPERIMENTS = runpy.run_path(
-    str(pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py")
-)
+EXPERIMENTS_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+_EXPERIMENTS = runpy.run_path(str(EXPERIMENTS_SCRIPT))
 EXPERIMENT_PROBLEMS = dict(_EXPERIMENTS["SOLVE_MATRIX"])
 EXPERIMENT_SMOOTHERS = _EXPERIMENTS["SMOOTHERS"]
 EXPERIMENT_ITERATIONS = {
@@ -360,6 +361,18 @@ EXPERIMENT_ITERATIONS = {
     "poisson3d-m16-sa": [7, 6, 6, 5, 5, 5, 5],
     "aniso2d-m64-sa": [27, 26, 27, 26, 26, 26, 26],
 }
+
+
+def test_experiment_script_stops_at_a_failed_command(tmp_path):
+    (tmp_path / "params.csv").mkdir()  # optimize cannot write over a directory
+    run = subprocess.run(
+        [sys.executable, str(EXPERIMENTS_SCRIPT), "--outdir", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == EXIT_CONFIG
+    assert "cannot write" in run.stderr
+    assert "wrote" not in run.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv"]
 
 
 def test_experiment_iterations_cover_the_script_tables():

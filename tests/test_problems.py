@@ -49,9 +49,13 @@ class TestBenchOperatorsPinned:
 class TestAssemblyMemory:
     """Traced peak of a generator call as a multiple of the bytes it returns.
 
-    Both generators write their CSR arrays directly.  aniso2d m=128 reads
-    2.29x: its (n, 9) stencil, keep mask and column arrays live beside the
-    CSR arrays they fill; poisson3d m=32 reads 1.10x.
+    Both generators hand their diagonals to ``scipy.sparse.diags``: the DIA
+    data, seven or nine length-n bands, lives beside the CSR arrays it
+    converts into.  With scipy 1.17 aniso2d m=128 reads 2.23x and poisson3d
+    m=32 reads 1.87x.  The bounds rely on scipy >= 1.17 (pyproject's floor)
+    converting DIA -> CSR directly (``dia_tocsr``): a conversion through COO,
+    with its int64 row and tile temporaries, read 3.35x and 3.02x in an
+    emulation.
     """
 
     def test_aniso2d_m128(self):
